@@ -19,7 +19,9 @@
 // single-core container the entire batched win is cache amortisation, on
 // multi-core runners pool parallelism multiplies it, and the warm run
 // shows what a restart costs once the cache persists.  Results go to
-// BENCH_service.json (CI uploads the artifact; --check asserts batched >=
+// BENCH_service.json (CI uploads the artifact and gates its
+// service_seconds and service_metrics sections against
+// bench/baselines/BENCH_service.baseline.json; --check asserts batched >=
 // serial and warm >= serial for the acceptance gate).
 //
 // Like bench_parallel, no google-benchmark dependency: steady_clock around
@@ -479,6 +481,17 @@ int main(int argc, char** argv) {
   std::fprintf(f, "    \"edit_speedup\": %.3f,\n", edit_speedup);
   std::fprintf(f, "    \"remote_batch_rt_reduction\": %.3f\n",
                remote_rt_reduction);
+  std::fprintf(f, "  },\n");
+  // Absolute wall times for the lower-is-better gate (--section
+  // service_seconds).  A ratio alone moves the wrong way when its
+  // denominator regresses, and reads as a regression when its
+  // denominator improves: a faster cold run lowers warm_vs_cold_ratio.
+  std::fprintf(f, "  \"service_seconds\": {\n");
+  std::fprintf(f, "    \"serial\": %.4f,\n", serial_sec);
+  std::fprintf(f, "    \"batched\": %.4f,\n", batched_sec);
+  std::fprintf(f, "    \"warm\": %.4f,\n", warm_sec);
+  std::fprintf(f, "    \"edit_cold\": %.4f,\n", edit_cold_sec);
+  std::fprintf(f, "    \"edit_replay\": %.4f\n", edit_replay_sec);
   std::fprintf(f, "  }\n");
   std::fprintf(f, "}\n");
   std::fclose(f);

@@ -9,6 +9,10 @@
 // flip-flop count grows; HASH has a higher constant cost but grows only
 // moderately with n because the RT-level term is width-independent except
 // for the initial-value evaluation.
+//
+// `--json FILE` also writes the rows as data (paper_table.h).  The exit
+// status is 1 when a completed engine reports NONEQUIV: every row pairs a
+// circuit with a correct retiming of it.
 
 #include <chrono>
 #include <cstdio>
@@ -19,6 +23,7 @@
 #include "circuit/bitblast.h"
 #include "hash/retime_step.h"
 #include "kernel/parallel.h"
+#include "paper_table.h"
 #include "theories/retiming_thm.h"
 #include "verify/sis_fsm.h"
 #include "verify/smv_mc.h"
@@ -28,13 +33,6 @@ namespace {
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
-}
-
-std::string cell(bool completed, double sec) {
-  if (!completed) return "      -";
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%7.3f", sec);
-  return buf;
 }
 
 }  // namespace
@@ -47,10 +45,12 @@ int main(int argc, char** argv) {
   // cores would distort them.  `--jobs N` opts into the fan-out when
   // throughput matters more than per-cell fidelity.
   unsigned jobs = 1;
+  std::string json_path;
   for (int a = 1; a < argc; ++a) {
     std::string arg = argv[a];
     if (arg == "--timeout" && a + 1 < argc) timeout = std::stod(argv[++a]);
     if (arg == "--max-n" && a + 1 < argc) max_n = std::stoi(argv[++a]);
+    if (arg == "--json" && a + 1 < argc) json_path = argv[++a];
     if (arg == "--jobs" && a + 1 < argc) {
       jobs = static_cast<unsigned>(std::stoi(argv[++a]));
     }
@@ -76,48 +76,49 @@ int main(int argc, char** argv) {
   // — the sharded interner is what makes this safe) and print in order at
   // the end.  Wall-clock timeouts stay meaningful per engine because each
   // engine run measures its own elapsed time.
-  struct Row {
-    int n = 0;
-    int ff = 0, gates = 0;
-    double hash_sec = 0.0;
-    eda::verify::VerifyResult sis, smv;
-  };
+  using eda::bench::TableRow;
   std::vector<int> widths;
   for (int n = 1; n <= max_n; n = n < 8 ? n + 1 : n + (n < 16 ? 2 : 8)) {
     widths.push_back(n);
   }
   auto compute_row = [&](int n) {
-    Row row;
-    row.n = n;
+    TableRow row;
+    row.name = std::to_string(n);
     auto fig2 = eda::bench_gen::make_fig2(n);
     eda::circuit::GateNetlist ga = eda::circuit::bit_blast(fig2.rtl);
-    row.ff = ga.ff_count();
+    row.flipflops = ga.ff_count();
     row.gates = ga.gate_count();
 
     // HASH: the formal synthesis step itself.
     auto t1 = std::chrono::steady_clock::now();
     eda::hash::FormalRetimeResult res =
         eda::hash::formal_retime(fig2.rtl, fig2.good_cut);
-    row.hash_sec = seconds_since(t1);
+    row.hash_seconds = seconds_since(t1);
 
     eda::circuit::GateNetlist gb = eda::circuit::bit_blast(res.retimed);
     eda::verify::VerifyOptions opts;
     opts.timeout_sec = timeout;
-    row.sis = eda::verify::sis_fsm_check(ga, gb, opts);
-    row.smv = eda::verify::smv_check(ga, gb, opts);
+    row.engines = {{"SIS", eda::verify::sis_fsm_check(ga, gb, opts)},
+                   {"SMV", eda::verify::smv_check(ga, gb, opts)}};
     return row;
   };
-  std::vector<Row> rows;
+  std::vector<TableRow> rows;
   if (jobs <= 1) {
     for (int n : widths) rows.push_back(compute_row(n));
   } else {
     rows = eda::kernel::parallel_map(widths, compute_row);
   }
-  for (const Row& row : rows) {
-    std::printf("%4d %9d %7d | %s %s %s\n", row.n, row.ff, row.gates,
-                cell(row.sis.completed, row.sis.seconds).c_str(),
-                cell(row.smv.completed, row.smv.seconds).c_str(),
-                cell(true, row.hash_sec).c_str());
+  for (const TableRow& row : rows) {
+    std::printf("%4s %9d %7d |", row.name.c_str(), row.flipflops, row.gates);
+    for (const auto& [engine, v] : row.engines) {
+      std::printf(" %s", eda::bench::cell(v.completed, v.seconds).c_str());
+    }
+    std::printf(" %s\n", eda::bench::cell(true, row.hash_seconds).c_str());
   }
-  return 0;
+  if (!json_path.empty() &&
+      !eda::bench::write_table_json(json_path, "bench_table1", timeout, rows)) {
+    std::fprintf(stderr, "bench_table1: cannot write %s\n", json_path.c_str());
+    return 1;
+  }
+  return eda::bench::report_nonequiv(rows) == 0 ? 0 : 1;
 }

@@ -6,6 +6,10 @@
 // handle the 32-bit fractional multiplier), Eijk+ beats Eijk where the
 // retimed registers are functions of the originals, and HASH scales
 // through the whole set.
+//
+// `--json FILE` also writes the rows as data (paper_table.h).  The exit
+// status is 1 when a completed engine reports NONEQUIV: every row pairs a
+// circuit with a correct retiming of it.
 
 #include <chrono>
 #include <cstdio>
@@ -16,6 +20,7 @@
 #include "circuit/bitblast.h"
 #include "hash/retime_step.h"
 #include "kernel/parallel.h"
+#include "paper_table.h"
 #include "theories/retiming_thm.h"
 #include "verify/eijk.h"
 #include "verify/parallel_verify.h"
@@ -28,13 +33,6 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-std::string cell(bool completed, double sec) {
-  if (!completed) return "      -";
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%7.3f", sec);
-  return buf;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -42,9 +40,11 @@ int main(int argc, char** argv) {
   // Serial by default so the per-engine cells stay undistorted; `--jobs N`
   // opts into the fan-out (see bench_table1.cpp).
   unsigned jobs = 1;
+  std::string json_path;
   for (int a = 1; a < argc; ++a) {
     std::string arg = argv[a];
     if (arg == "--timeout" && a + 1 < argc) timeout = std::stod(argv[++a]);
+    if (arg == "--json" && a + 1 < argc) json_path = argv[++a];
     if (arg == "--jobs" && a + 1 < argc) {
       jobs = static_cast<unsigned>(std::stoi(argv[++a]));
     }
@@ -68,24 +68,19 @@ int main(int argc, char** argv) {
   // order.  The HASH steps replay kernel inference concurrently across
   // rows (sharded interner); each checker owns its BddManager / state
   // table (confinement, see bdd/bdd.h).
-  struct Row {
-    std::string name;
-    int ff = 0, gates = 0;
-    double hash_sec = 0.0;
-    eda::verify::VerifyResult e1, e2, sis;
-  };
+  using eda::bench::TableRow;
   const auto benches = eda::bench_gen::iwls_benchmarks();
   auto compute_row = [&](const eda::bench_gen::BenchCircuit& bench) {
-    Row row;
+    TableRow row;
     row.name = bench.name;
     eda::circuit::GateNetlist ga = eda::circuit::bit_blast(bench.rtl);
-    row.ff = ga.ff_count();
+    row.flipflops = ga.ff_count();
     row.gates = ga.gate_count();
 
     auto t1 = std::chrono::steady_clock::now();
     eda::hash::FormalRetimeResult res =
         eda::hash::formal_retime(bench.rtl, bench.cut);
-    row.hash_sec = seconds_since(t1);
+    row.hash_seconds = seconds_since(t1);
 
     eda::circuit::GateNetlist gb = eda::circuit::bit_blast(res.retimed);
     eda::verify::VerifyOptions opts;
@@ -101,23 +96,26 @@ int main(int argc, char** argv) {
     } else {
       out = eda::verify::check_parallel(checks);
     }
-    row.e1 = out[0];
-    row.e2 = out[1];
-    row.sis = out[2];
+    row.engines = {{"Eijk", out[0]}, {"Eijk+", out[1]}, {"SIS", out[2]}};
     return row;
   };
-  std::vector<Row> rows;
+  std::vector<TableRow> rows;
   if (jobs <= 1) {
     for (const auto& bench : benches) rows.push_back(compute_row(bench));
   } else {
     rows = eda::kernel::parallel_map(benches, compute_row);
   }
-  for (const Row& row : rows) {
-    std::printf("%-8s %9d %7d | %s %s %s %s\n", row.name.c_str(), row.ff,
-                row.gates, cell(row.e1.completed, row.e1.seconds).c_str(),
-                cell(row.e2.completed, row.e2.seconds).c_str(),
-                cell(row.sis.completed, row.sis.seconds).c_str(),
-                cell(true, row.hash_sec).c_str());
+  for (const TableRow& row : rows) {
+    std::printf("%-8s %9d %7d |", row.name.c_str(), row.flipflops, row.gates);
+    for (const auto& [engine, v] : row.engines) {
+      std::printf(" %s", eda::bench::cell(v.completed, v.seconds).c_str());
+    }
+    std::printf(" %s\n", eda::bench::cell(true, row.hash_seconds).c_str());
   }
-  return 0;
+  if (!json_path.empty() &&
+      !eda::bench::write_table_json(json_path, "bench_table2", timeout, rows)) {
+    std::fprintf(stderr, "bench_table2: cannot write %s\n", json_path.c_str());
+    return 1;
+  }
+  return eda::bench::report_nonequiv(rows) == 0 ? 0 : 1;
 }

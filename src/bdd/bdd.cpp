@@ -1,188 +1,316 @@
 #include "bdd/bdd.h"
 
 #include <algorithm>
-#include <array>
 #include <functional>
 #include <limits>
+#include <numeric>
 
 namespace eda::bdd {
 
 namespace {
+
 constexpr int kTermVar = std::numeric_limits<int>::max();
+constexpr std::size_t kMaxNodes = std::size_t{1} << 30;
+constexpr std::size_t kInitialSlots = 1024;  // unique table and cache
+constexpr std::size_t kMaxCacheEntries = std::size_t{1} << 20;
+
+// Multiply-mix three words into a table index; the final fold brings the
+// well-mixed high bits down to the low bits the masks keep.
+std::size_t mix(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
+  std::uint64_t h = (a + 1) * 0x9E3779B97F4A7C15ULL;
+  h = (h ^ b) * 0xC2B2AE3D27D4EB4FULL;
+  h = (h ^ c) * 0x165667B19E3779F9ULL;
+  return static_cast<std::size_t>(h ^ (h >> 32));
 }
+
+std::uint64_t word(BddId x) { return static_cast<std::uint64_t>(x); }
+
+}  // namespace
 
 BddManager::BddManager(int num_vars, std::size_t node_limit)
-    : num_vars_(num_vars), node_limit_(node_limit) {
-  nodes_.push_back({kTermVar, 0, 0});  // FALSE
-  nodes_.push_back({kTermVar, 1, 1});  // TRUE
+    : num_vars_(num_vars),
+      node_limit_(std::min(node_limit, kMaxNodes)),
+      unique_(kInitialSlots, 0),
+      cache_(kInitialSlots) {
+  if (num_vars < 0) throw BddError("negative variable count");
+  nodes_.reserve(kInitialSlots / 2);
+  nodes_.push_back({kTermVar, 0, 0, 0});  // FALSE
 }
 
-int BddManager::top_var(BddId f) const {
-  return nodes_[static_cast<std::size_t>(f)].var;
+void BddManager::check_var(int index) const {
+  if (index < 0 || index >= num_vars_) throw BddError("var out of range");
 }
 
 BddId BddManager::mk(int var, BddId lo, BddId hi) {
   if (lo == hi) return lo;
-  NodeKey key{var, lo, hi};
-  if (auto it = unique_.find(key); it != unique_.end()) return it->second;
+  // Canonical form keeps lo regular: (v ? hi : ~lo) == ~(v ? ~hi : lo).
+  const BddId neg = lo & 1;
+  lo ^= neg;
+  hi ^= neg;
+  const std::size_t mask = unique_.size() - 1;
+  std::size_t i = mix(word(var), word(lo), word(hi)) & mask;
+  for (std::uint32_t s = unique_[i]; s != 0; s = unique_[i]) {
+    const Node& n = nodes_[s];
+    if (n.var == var && n.lo == lo && n.hi == hi) {
+      return static_cast<BddId>(s << 1) | neg;
+    }
+    i = (i + 1) & mask;
+  }
   if (nodes_.size() >= node_limit_) {
     throw BddError("BDD node limit exceeded");
   }
-  nodes_.push_back({var, lo, hi});
-  BddId id = static_cast<BddId>(nodes_.size() - 1);
-  unique_.emplace(key, id);
-  return id;
+  const auto idx = static_cast<std::uint32_t>(nodes_.size());
+  nodes_.push_back({var, lo, hi, 0});
+  unique_[i] = idx;
+  if (2 * nodes_.size() > unique_.size()) grow_tables();
+  return static_cast<BddId>(idx << 1) | neg;
+}
+
+void BddManager::grow_tables() {
+  std::vector<std::uint32_t> slots(2 * unique_.size(), 0);
+  const std::size_t mask = slots.size() - 1;
+  for (std::uint32_t idx = 1; idx < nodes_.size(); ++idx) {
+    const Node& n = nodes_[idx];
+    std::size_t i = mix(word(n.var), word(n.lo), word(n.hi)) & mask;
+    while (slots[i] != 0) i = (i + 1) & mask;
+    slots[i] = idx;
+  }
+  unique_.swap(slots);
+
+  const std::size_t want = std::min(unique_.size(), kMaxCacheEntries);
+  if (cache_.size() >= want) return;
+  std::vector<CacheEntry> old(want);
+  old.swap(cache_);
+  for (const CacheEntry& e : old) {
+    if (e.op != Op::None) cache_[cache_slot(e.op, e.f, e.g, e.h)] = e;
+  }
+}
+
+std::size_t BddManager::cache_slot(Op op, BddId f, BddId g, BddId h) const {
+  const std::uint64_t tagged = (word(h) << 8) | static_cast<std::uint64_t>(op);
+  return mix(word(f), word(g), tagged) & (cache_.size() - 1);
+}
+
+bool BddManager::cache_find(Op op, BddId f, BddId g, BddId h,
+                            BddId& result) const {
+  const CacheEntry& e = cache_[cache_slot(op, f, g, h)];
+  if (e.op != op || e.f != f || e.g != g || e.h != h) return false;
+  result = e.result;
+  return true;
+}
+
+void BddManager::cache_store(Op op, BddId f, BddId g, BddId h, BddId result) {
+  cache_[cache_slot(op, f, g, h)] = {op, f, g, h, result};
 }
 
 BddId BddManager::var(int index) {
-  if (index < 0 || index >= num_vars_) throw BddError("var out of range");
+  check_var(index);
   return mk(index, 0, 1);
 }
 
-BddId BddManager::nvar(int index) { return mk(index, 1, 0); }
+std::pair<BddId, BddId> BddManager::cofactors(BddId f, int v) const {
+  const Node& n = nodes_[static_cast<std::size_t>(f >> 1)];
+  if (n.var != v) return {f, f};
+  return {n.lo ^ (f & 1), n.hi ^ (f & 1)};
+}
+
+// The recursions below copy what they need out of nodes_ before recursing:
+// mk may reallocate nodes_ and the cache, so no reference into either may
+// survive a call that can create a node.
+
+BddId BddManager::land(BddId f, BddId g) {
+  if (f == 0 || g == 0 || f == (g ^ 1)) return 0;
+  if (f == 1 || f == g) return g;
+  if (g == 1) return f;
+  if (f > g) std::swap(f, g);
+  BddId r = 0;
+  if (cache_find(Op::And, f, g, 0, r)) return r;
+  const int v = std::min(level(f), level(g));
+  const auto [f0, f1] = cofactors(f, v);
+  const auto [g0, g1] = cofactors(g, v);
+  const BddId lo = land(f0, g0);
+  r = mk(v, lo, land(f1, g1));
+  cache_store(Op::And, f, g, 0, r);
+  return r;
+}
+
+BddId BddManager::lxor(BddId f, BddId g) {
+  // f ^ g == (|f| ^ |g|) complemented by the parity of the two edges.
+  const BddId neg = (f ^ g) & 1;
+  f &= ~1;
+  g &= ~1;
+  if (f == g) return neg;
+  if (f == 0) return g ^ neg;
+  if (g == 0) return f ^ neg;
+  if (f > g) std::swap(f, g);
+  BddId r = 0;
+  if (cache_find(Op::Xor, f, g, 0, r)) return r ^ neg;
+  const int v = std::min(level(f), level(g));
+  const auto [f0, f1] = cofactors(f, v);
+  const auto [g0, g1] = cofactors(g, v);
+  const BddId lo = lxor(f0, g0);
+  r = mk(v, lo, lxor(f1, g1));
+  cache_store(Op::Xor, f, g, 0, r);
+  return r ^ neg;
+}
 
 BddId BddManager::ite(BddId f, BddId g, BddId h) {
   if (f == 1) return g;
   if (f == 0) return h;
+  if (g == f) g = 1;
+  if (g == (f ^ 1)) g = 0;
+  if (h == f) h = 0;
+  if (h == (f ^ 1)) h = 1;
   if (g == h) return g;
-  if (g == 1 && h == 0) return f;
-  std::array<BddId, 3> key{f, g, h};
-  if (auto it = ite_cache_.find(key); it != ite_cache_.end()) {
-    return it->second;
+  if (g == 1) return lor(f, h);
+  if (g == 0) return land(f ^ 1, h);
+  if (h == 0) return land(f, g);
+  if (h == 1) return lor(f ^ 1, g);
+  if (g == (h ^ 1)) return lxor(f, h);
+  // Standard triple: f and g regular.
+  if (f & 1) {
+    f ^= 1;
+    std::swap(g, h);
   }
-  int v = std::min({top_var(f), top_var(g), top_var(h)});
-  auto cof = [&](BddId x, bool hi) {
-    const Node& n = nodes_[static_cast<std::size_t>(x)];
-    if (n.var != v) return x;
-    return hi ? n.hi : n.lo;
-  };
-  BddId lo = ite(cof(f, false), cof(g, false), cof(h, false));
-  BddId hi = ite(cof(f, true), cof(g, true), cof(h, true));
-  BddId out = mk(v, lo, hi);
-  ite_cache_.emplace(key, out);
-  return out;
+  const BddId neg = g & 1;
+  g ^= neg;
+  h ^= neg;
+  BddId r = 0;
+  if (cache_find(Op::Ite, f, g, h, r)) return r ^ neg;
+  const int v = std::min({level(f), level(g), level(h)});
+  const auto [f0, f1] = cofactors(f, v);
+  const auto [g0, g1] = cofactors(g, v);
+  const auto [h0, h1] = cofactors(h, v);
+  const BddId lo = ite(f0, g0, h0);
+  r = mk(v, lo, ite(f1, g1, h1));
+  cache_store(Op::Ite, f, g, h, r);
+  return r ^ neg;
 }
 
-BddId BddManager::exists_rec(BddId f, const std::vector<int>& vars,
-                             std::unordered_map<BddId, BddId>& memo) {
-  if (f <= 1) return f;
-  if (auto it = memo.find(f); it != memo.end()) return it->second;
-  const Node n = nodes_[static_cast<std::size_t>(f)];
-  // Skip past quantified variables above/at this level.
-  BddId lo = exists_rec(n.lo, vars, memo);
-  BddId hi = exists_rec(n.hi, vars, memo);
-  BddId out;
-  if (std::binary_search(vars.begin(), vars.end(), n.var)) {
-    out = lor(lo, hi);
-  } else {
-    out = mk(n.var, lo, hi);
+BddId BddManager::cube(const std::vector<int>& vars) {
+  std::vector<int> sorted(vars);
+  std::sort(sorted.begin(), sorted.end(), std::greater<int>());
+  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  BddId c = 1;
+  for (int v : sorted) {
+    check_var(v);
+    c = mk(v, 0, c);  // v sits above every variable already in c
   }
-  memo.emplace(f, out);
-  return out;
+  return c;
 }
+
+// A cube is a regular edge whose node has lo = FALSE; its hi edge is the
+// rest of the cube (TRUE at the end).
 
 BddId BddManager::exists(BddId f, const std::vector<int>& vars) {
-  std::vector<int> sorted = vars;
-  std::sort(sorted.begin(), sorted.end());
-  std::unordered_map<BddId, BddId> memo;
-  return exists_rec(f, sorted, memo);
+  return exists_rec(f, cube(vars));
 }
 
-BddId BddManager::and_exists_rec(
-    BddId f, BddId g, const std::vector<int>& vars,
-    std::unordered_map<std::uint64_t, BddId>& memo) {
-  if (f == 0 || g == 0) return 0;
-  if (f == 1 && g == 1) return 1;
-  // Terminal-ish shortcut: plain conjunction once no quantified variable
-  // can appear.
-  int v = std::min(top_var(f), top_var(g));
-  if (v == kTermVar) return land(f, g);
-  std::uint64_t key = (static_cast<std::uint64_t>(f) << 32) |
-                      static_cast<std::uint64_t>(g);
-  if (auto it = memo.find(key); it != memo.end()) return it->second;
-  auto cof = [&](BddId x, bool hi) {
-    const Node& n = nodes_[static_cast<std::size_t>(x)];
-    if (n.var != v) return x;
-    return hi ? n.hi : n.lo;
-  };
-  BddId lo = and_exists_rec(cof(f, false), cof(g, false), vars, memo);
-  BddId out;
-  if (std::binary_search(vars.begin(), vars.end(), v)) {
-    if (lo == 1) {
-      out = 1;  // early termination
-    } else {
-      BddId hi = and_exists_rec(cof(f, true), cof(g, true), vars, memo);
-      out = lor(lo, hi);
-    }
-  } else {
-    BddId hi = and_exists_rec(cof(f, true), cof(g, true), vars, memo);
-    out = mk(v, lo, hi);
+BddId BddManager::exists_rec(BddId f, BddId cube) {
+  if (f <= 1) return f;
+  const int v = level(f);
+  while (cube != 1 && level(cube) < v) {
+    cube = nodes_[static_cast<std::size_t>(cube >> 1)].hi;
   }
-  memo.emplace(key, out);
-  return out;
+  if (cube == 1) return f;
+  BddId r = 0;
+  if (cache_find(Op::Exists, f, cube, 0, r)) return r;
+  const auto [f0, f1] = cofactors(f, v);
+  if (level(cube) == v) {
+    const BddId rest = nodes_[static_cast<std::size_t>(cube >> 1)].hi;
+    r = exists_rec(f0, rest);
+    if (r != 1) r = lor(r, exists_rec(f1, rest));
+  } else {
+    const BddId lo = exists_rec(f0, cube);
+    r = mk(v, lo, exists_rec(f1, cube));
+  }
+  cache_store(Op::Exists, f, cube, 0, r);
+  return r;
 }
 
 BddId BddManager::and_exists(BddId f, BddId g, const std::vector<int>& vars) {
-  std::vector<int> sorted = vars;
-  std::sort(sorted.begin(), sorted.end());
-  std::unordered_map<std::uint64_t, BddId> memo;
-  return and_exists_rec(f, g, sorted, memo);
+  return and_exists_rec(f, g, cube(vars));
 }
 
-BddId BddManager::cofactor(BddId f, int var, bool value) {
-  return compose(f, var, value ? 1 : 0);
+BddId BddManager::and_exists_rec(BddId f, BddId g, BddId cube) {
+  if (f == 0 || g == 0 || f == (g ^ 1)) return 0;
+  if (f == 1 || f == g) return exists_rec(g, cube);
+  if (g == 1) return exists_rec(f, cube);
+  if (f > g) std::swap(f, g);
+  const int v = std::min(level(f), level(g));
+  while (cube != 1 && level(cube) < v) {
+    cube = nodes_[static_cast<std::size_t>(cube >> 1)].hi;
+  }
+  if (cube == 1) return land(f, g);
+  BddId r = 0;
+  if (cache_find(Op::AndExists, f, g, cube, r)) return r;
+  const auto [f0, f1] = cofactors(f, v);
+  const auto [g0, g1] = cofactors(g, v);
+  if (level(cube) == v) {
+    const BddId rest = nodes_[static_cast<std::size_t>(cube >> 1)].hi;
+    r = and_exists_rec(f0, g0, rest);
+    if (r != 1) r = lor(r, and_exists_rec(f1, g1, rest));
+  } else {
+    const BddId lo = and_exists_rec(f0, g0, cube);
+    r = mk(v, lo, and_exists_rec(f1, g1, cube));
+  }
+  cache_store(Op::AndExists, f, g, cube, r);
+  return r;
 }
 
 BddId BddManager::rename(BddId f, const std::map<int, int>& var_map) {
-  // Renaming must preserve order between mapped variables; the maps used
-  // here (next-state <-> present-state) do, so a recursive rebuild works.
-  std::unordered_map<BddId, BddId> memo;
-  std::function<BddId(BddId)> rec = [&](BddId x) -> BddId {
-    if (x <= 1) return x;
-    if (auto it = memo.find(x); it != memo.end()) return it->second;
-    const Node n = nodes_[static_cast<std::size_t>(x)];
-    BddId lo = rec(n.lo), hi = rec(n.hi);
-    int v = n.var;
-    if (auto it = var_map.find(v); it != var_map.end()) v = it->second;
-    BddId out = ite(mk(v, 0, 1), hi, lo);
-    memo.emplace(x, out);
-    return out;
-  };
-  return rec(f);
+  std::vector<int> dense(static_cast<std::size_t>(num_vars_));
+  std::iota(dense.begin(), dense.end(), 0);
+  for (const auto& [from, to] : var_map) {
+    check_var(from);
+    check_var(to);
+    dense[static_cast<std::size_t>(from)] = to;
+  }
+  auto it = std::find(rename_maps_.begin(), rename_maps_.end(), dense);
+  const auto map = static_cast<int>(it - rename_maps_.begin());
+  if (it == rename_maps_.end()) rename_maps_.push_back(std::move(dense));
+  return rename_rec(f, map);
 }
 
-BddId BddManager::compose(BddId f, int var, BddId g) {
-  std::unordered_map<BddId, BddId> memo;
-  std::function<BddId(BddId)> rec = [&](BddId x) -> BddId {
-    if (x <= 1) return x;
-    if (auto it = memo.find(x); it != memo.end()) return it->second;
-    const Node n = nodes_[static_cast<std::size_t>(x)];
-    BddId out;
-    if (n.var == var) {
-      out = ite(g, n.hi, n.lo);
-    } else if (n.var > var) {
-      out = x;  // var cannot appear below
-    } else {
-      out = ite(mk(n.var, 0, 1), rec(n.hi), rec(n.lo));
-    }
-    memo.emplace(x, out);
-    return out;
-  };
-  return rec(f);
+BddId BddManager::rename_rec(BddId f, int map) {
+  if (f <= 1) return f;
+  const BddId neg = f & 1;  // rename(~f) == ~rename(f)
+  f ^= neg;
+  BddId r = 0;
+  if (cache_find(Op::Rename, f, map, 0, r)) return r ^ neg;
+  const Node n = nodes_[static_cast<std::size_t>(f >> 1)];
+  const BddId lo = rename_rec(n.lo, map);
+  const BddId hi = rename_rec(n.hi, map);
+  const std::vector<int>& to = rename_maps_[static_cast<std::size_t>(map)];
+  const int v = to[static_cast<std::size_t>(n.var)];
+  // Order-preserving where it matters: v still above both renamed
+  // children makes (v, lo, hi) a valid node as it stands.
+  r = v < level(lo) && v < level(hi) ? mk(v, lo, hi) : ite(var(v), hi, lo);
+  cache_store(Op::Rename, f, map, 0, r);
+  return r ^ neg;
 }
 
 std::vector<int> BddManager::support(BddId f) {
+  if (++epoch_ == 0) {  // wrapped: stale marks could alias the new epoch
+    for (Node& n : nodes_) n.mark = 0;
+    epoch_ = 1;
+  }
   std::vector<char> seen(static_cast<std::size_t>(num_vars_), 0);
-  std::unordered_map<BddId, char> visited;
-  std::function<void(BddId)> rec = [&](BddId x) {
-    if (x <= 1 || visited.count(x) > 0) return;
-    visited.emplace(x, 1);
-    const Node& n = nodes_[static_cast<std::size_t>(x)];
-    seen[static_cast<std::size_t>(n.var)] = 1;
-    rec(n.lo);
-    rec(n.hi);
+  std::vector<std::uint32_t> stack;
+  auto visit = [&](BddId e) {
+    const auto idx = static_cast<std::uint32_t>(e >> 1);
+    if (idx == 0 || nodes_[idx].mark == epoch_) return;
+    nodes_[idx].mark = epoch_;
+    stack.push_back(idx);
   };
-  rec(f);
+  visit(f);
+  while (!stack.empty()) {
+    const Node n = nodes_[stack.back()];
+    stack.pop_back();
+    seen[static_cast<std::size_t>(n.var)] = 1;
+    visit(n.lo);
+    visit(n.hi);
+  }
   std::vector<int> out;
   for (int v = 0; v < num_vars_; ++v) {
     if (seen[static_cast<std::size_t>(v)]) out.push_back(v);
@@ -190,42 +318,19 @@ std::vector<int> BddManager::support(BddId f) {
   return out;
 }
 
-std::size_t BddManager::size(BddId f) {
-  std::unordered_map<BddId, char> visited;
-  std::function<void(BddId)> rec = [&](BddId x) {
-    if (x <= 1 || visited.count(x) > 0) return;
-    visited.emplace(x, 1);
-    const Node& n = nodes_[static_cast<std::size_t>(x)];
-    rec(n.lo);
-    rec(n.hi);
-  };
-  rec(f);
-  return visited.size() + 2;
-}
-
 bool BddManager::eval(BddId f, const std::vector<bool>& assignment) const {
-  BddId cur = f;
-  while (cur > 1) {
-    const Node& n = nodes_[static_cast<std::size_t>(cur)];
-    cur = assignment[static_cast<std::size_t>(n.var)] ? n.hi : n.lo;
+  if (assignment.size() < static_cast<std::size_t>(num_vars_)) {
+    throw BddError("eval: assignment shorter than num_vars");
   }
-  return cur == 1;
-}
-
-std::vector<bool> BddManager::any_sat(BddId f) const {
-  if (f == 0) throw BddError("any_sat: unsatisfiable");
-  std::vector<bool> out(static_cast<std::size_t>(num_vars_), false);
-  BddId cur = f;
-  while (cur > 1) {
-    const Node& n = nodes_[static_cast<std::size_t>(cur)];
-    if (n.hi != 0) {
-      out[static_cast<std::size_t>(n.var)] = true;
-      cur = n.hi;
-    } else {
-      cur = n.lo;
-    }
+  BddId neg = f & 1;
+  std::size_t idx = static_cast<std::size_t>(f >> 1);
+  while (idx != 0) {
+    const Node& n = nodes_[idx];
+    const BddId e = assignment[static_cast<std::size_t>(n.var)] ? n.hi : n.lo;
+    neg ^= e & 1;
+    idx = static_cast<std::size_t>(e >> 1);
   }
-  return out;
+  return neg == 1;
 }
 
 }  // namespace eda::bdd

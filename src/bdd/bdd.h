@@ -2,17 +2,17 @@
 
 #include <cstdint>
 #include <map>
-#include <unordered_map>
+#include <string>
+#include <utility>
 #include <vector>
-
-#include <array>
-#include <functional>
 
 #include "kernel/error.h"
 
 namespace eda::bdd {
 
-/// Node handle; 0 is the FALSE terminal, 1 the TRUE terminal.
+/// Edge handle `(node << 1) | complement`.  Node 0 is the only terminal,
+/// FALSE, so 0 is FALSE, 1 (its complement) is TRUE, and negation flips
+/// the low bit.
 using BddId = int;
 
 class BddError : public kernel::KernelError {
@@ -20,19 +20,37 @@ class BddError : public kernel::KernelError {
   explicit BddError(const std::string& what) : kernel::KernelError(what) {}
 };
 
-/// Reduced ordered BDD manager with a unique table and an ite computed
-/// table.  Variable order is the index order (0 at the top).  This is the
-/// substrate for the tautology checker, the SMV-style model checker and
-/// the van Eijk traversal baselines — the data structure whose exponential
-/// growth the paper's tables demonstrate.
+/// Reduced ordered BDD manager with complement edges, after Brace, Rudell
+/// & Bryant, "Efficient implementation of a BDD package" (DAC '90).
+/// Variable order is the index order (0 at the top).  This is the
+/// substrate for the SMV-style model checker and the van Eijk traversal
+/// baselines — the data structure whose exponential growth the paper's
+/// tables demonstrate.
+///
+/// - Nodes live in one flat array and are never freed.  A node's lo edge
+///   is always regular (the complement moves onto the edge pointing at
+///   the node), so a function and its negation share one node and `lnot`
+///   is O(1).
+/// - The unique table is open addressing with linear probing over node
+///   indices, kept at most half full.
+/// - One direct-mapped, lossy computed cache serves and, xor, ite,
+///   exists, and_exists and rename, keyed by an op tag and the operands;
+///   a colliding store overwrites.  Quantified variables enter the key as
+///   a cube BDD and a rename map as its index among the maps this
+///   manager has seen, so keys are canonical across calls.  The cache
+///   starts at 1024 entries and doubles with the unique table up to 2^20
+///   entries (20 MB).
+/// - Node budget: creating a node that would make `node_table_size()`
+///   (terminal included) exceed `node_limit` throws BddError.  The limit
+///   is clamped to 2^30 so a handle fits an int.
 ///
 /// Threading model: *confinement*, not sharing.  A BddManager instance is
 /// owned by exactly one thread at a time; the parallel verification
 /// pipeline (verify/parallel_verify.h) gives each obligation its own
 /// manager, which is also the memory-efficient choice — node ids are
-/// manager-relative, so one obligation's unique/ite tables are meaningless
-/// to another's product machine.  Sharding these per-instance tables would
-/// only serialise the deeply recursive ite() walks behind locks.
+/// manager-relative, so one obligation's tables are meaningless to
+/// another's product machine.  Sharding these per-instance tables would
+/// only serialise the deeply recursive apply walks behind locks.
 class BddManager {
  public:
   explicit BddManager(int num_vars, std::size_t node_limit = 50'000'000);
@@ -42,81 +60,76 @@ class BddManager {
 
   BddId false_bdd() const { return 0; }
   BddId true_bdd() const { return 1; }
-  BddId literal(bool v) const { return v ? 1 : 0; }
+  /// Throws BddError unless 0 <= index < num_vars().
   BddId var(int index);
-  BddId nvar(int index);
+  BddId nvar(int index) { return var(index) ^ 1; }
 
   BddId ite(BddId f, BddId g, BddId h);
-  BddId land(BddId a, BddId b) { return ite(a, b, 0); }
-  BddId lor(BddId a, BddId b) { return ite(a, 1, b); }
-  BddId lxor(BddId a, BddId b) { return ite(a, lnot(b), b); }
-  BddId lnot(BddId a) { return ite(a, 0, 1); }
-  BddId lxnor(BddId a, BddId b) { return lnot(lxor(a, b)); }
-  BddId implies(BddId a, BddId b) { return ite(a, b, 1); }
+  BddId land(BddId a, BddId b);
+  BddId lor(BddId a, BddId b) { return land(a ^ 1, b ^ 1) ^ 1; }
+  BddId lxor(BddId a, BddId b);
+  BddId lnot(BddId a) const { return a ^ 1; }
+  BddId lxnor(BddId a, BddId b) { return lxor(a, b) ^ 1; }
 
   /// Existential quantification over a set of variables.
   BddId exists(BddId f, const std::vector<int>& vars);
   /// Relational product  exists vars. f /\ g  (single pass, the core of
   /// symbolic image computation).
   BddId and_exists(BddId f, BddId g, const std::vector<int>& vars);
-  /// Cofactor f|_{var=value}.
-  BddId cofactor(BddId f, int var, bool value);
-  /// Simultaneous variable-to-variable renaming.
+  /// Simultaneous variable-to-variable renaming.  Any map is allowed; an
+  /// order-preserving one (next-state -> present-state) rebuilds each node
+  /// directly, others fall back to ite.
   BddId rename(BddId f, const std::map<int, int>& var_map);
-  /// Substitute a function for a variable: f[var := g].
-  BddId compose(BddId f, int var, BddId g);
 
-  /// Support variables of f.
+  /// Support variables of f, ascending.
   std::vector<int> support(BddId f);
-  /// DAG size of f.
-  std::size_t size(BddId f);
-  /// Evaluate under a full assignment.
+  /// Evaluate under an assignment of every variable; throws BddError when
+  /// `assignment` is shorter than num_vars().
   bool eval(BddId f, const std::vector<bool>& assignment) const;
-  /// Any satisfying assignment (empty optional when f = FALSE semantics:
-  /// throws on FALSE; callers check first).
-  std::vector<bool> any_sat(BddId f) const;
 
  private:
   struct Node {
-    int var;
-    BddId lo, hi;
+    int var = 0;
+    BddId lo = 0, hi = 0;    // lo is always a regular edge
+    std::uint32_t mark = 0;  // support() visit epoch
   };
-  struct NodeKey {
-    int var;
-    BddId lo, hi;
-    bool operator==(const NodeKey& o) const {
-      return var == o.var && lo == o.lo && hi == o.hi;
-    }
+  enum class Op : std::uint32_t {
+    None,
+    And,
+    Xor,
+    Ite,
+    Exists,
+    AndExists,
+    Rename,
   };
-  struct NodeKeyHash {
-    std::size_t operator()(const NodeKey& k) const {
-      std::size_t h = static_cast<std::size_t>(k.var);
-      h = h * 0x9e3779b97f4a7c15ULL + static_cast<std::size_t>(k.lo);
-      h = h * 0x9e3779b97f4a7c15ULL + static_cast<std::size_t>(k.hi);
-      return h;
-    }
-  };
-  struct TripleHash {
-    std::size_t operator()(const std::array<BddId, 3>& k) const {
-      std::size_t h = static_cast<std::size_t>(k[0]);
-      h = h * 0x9e3779b97f4a7c15ULL + static_cast<std::size_t>(k[1]);
-      h = h * 0x9e3779b97f4a7c15ULL + static_cast<std::size_t>(k[2]);
-      return h;
-    }
+  struct CacheEntry {
+    Op op = Op::None;
+    BddId f = 0, g = 0, h = 0, result = 0;
   };
 
+  int level(BddId f) const {
+    return nodes_[static_cast<std::size_t>(f >> 1)].var;
+  }
+  /// (f|v=0, f|v=1) for v at or above f's top variable.
+  std::pair<BddId, BddId> cofactors(BddId f, int v) const;
+  void check_var(int index) const;
   BddId mk(int var, BddId lo, BddId hi);
-  int top_var(BddId f) const;
-  BddId exists_rec(BddId f, const std::vector<int>& vars,
-                   std::unordered_map<BddId, BddId>& memo);
-  BddId and_exists_rec(BddId f, BddId g, const std::vector<int>& vars,
-                       std::unordered_map<std::uint64_t, BddId>& memo);
+  void grow_tables();
+  std::size_t cache_slot(Op op, BddId f, BddId g, BddId h) const;
+  bool cache_find(Op op, BddId f, BddId g, BddId h, BddId& result) const;
+  void cache_store(Op op, BddId f, BddId g, BddId h, BddId result);
+  BddId cube(const std::vector<int>& vars);
+  BddId exists_rec(BddId f, BddId cube);
+  BddId and_exists_rec(BddId f, BddId g, BddId cube);
+  BddId rename_rec(BddId f, int map);
 
   int num_vars_;
   std::size_t node_limit_;
   std::vector<Node> nodes_;
-  std::unordered_map<NodeKey, BddId, NodeKeyHash> unique_;
-  std::unordered_map<std::array<BddId, 3>, BddId, TripleHash> ite_cache_;
+  std::vector<std::uint32_t> unique_;  // node index per slot, 0 = empty
+  std::vector<CacheEntry> cache_;
+  std::vector<std::vector<int>> rename_maps_;  // dense var -> var maps
+  std::uint32_t epoch_ = 0;
 };
 
 }  // namespace eda::bdd

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
 #include <random>
+#include <vector>
 
 #include "bdd/bdd.h"
 
@@ -71,14 +74,12 @@ TEST(Bdd, AndExistsMatchesComposed) {
   }
 }
 
-TEST(Bdd, RenameAndCompose) {
+TEST(Bdd, Rename) {
   BddManager m(4);
   BddId f = m.land(m.var(0), m.var(2));
   BddId g = m.rename(f, {{0, 1}, {2, 3}});
   EXPECT_EQ(g, m.land(m.var(1), m.var(3)));
-  // compose x2 := x1 xor x3
-  BddId h = m.compose(f, 2, m.lxor(m.var(1), m.var(3)));
-  EXPECT_EQ(h, m.land(m.var(0), m.lxor(m.var(1), m.var(3))));
+  EXPECT_EQ(m.rename(g, {{1, 3}, {3, 1}}), g);  // swap: the ite fallback
 }
 
 TEST(Bdd, Support) {
@@ -88,12 +89,17 @@ TEST(Bdd, Support) {
   EXPECT_EQ(s, (std::vector<int>{1, 3, 4}));
 }
 
-TEST(Bdd, AnySat) {
-  BddManager m(4);
-  BddId f = m.land(m.nvar(0), m.var(3));
-  auto sat = m.any_sat(f);
-  EXPECT_TRUE(m.eval(f, sat));
-  EXPECT_THROW(m.any_sat(m.false_bdd()), b::BddError);
+TEST(Bdd, VariableIndicesAreChecked) {
+  BddManager m(3);
+  EXPECT_THROW(m.var(-1), b::BddError);
+  EXPECT_THROW(m.var(3), b::BddError);
+  EXPECT_THROW(m.nvar(-1), b::BddError);
+  EXPECT_THROW(m.nvar(3), b::BddError);
+  EXPECT_THROW(m.exists(m.var(0), {3}), b::BddError);
+  EXPECT_THROW(m.rename(m.var(0), {{0, 3}}), b::BddError);
+  BddId f = m.land(m.var(0), m.var(2));
+  EXPECT_THROW(m.eval(f, {true, false}), b::BddError);
+  EXPECT_TRUE(m.eval(f, {true, false, true}));
 }
 
 TEST(Bdd, NodeLimitEnforced) {
@@ -108,14 +114,77 @@ TEST(Bdd, NodeLimitEnforced) {
       b::BddError);
 }
 
+// Brute-force reference: entry a of a Table is the function's value under
+// the assignment that sets variable v to bit v of a.
+using Table = std::vector<bool>;
+
+Table table_of(const BddManager& m, BddId f) {
+  const int nv = m.num_vars();
+  Table t(std::size_t{1} << nv);
+  std::vector<bool> env(static_cast<std::size_t>(nv));
+  for (std::size_t a = 0; a < t.size(); ++a) {
+    for (int v = 0; v < nv; ++v) {
+      env[static_cast<std::size_t>(v)] = (a >> v) & 1;
+    }
+    t[a] = m.eval(f, env);
+  }
+  return t;
+}
+
+Table var_table(int nv, int v) {
+  Table t(std::size_t{1} << nv);
+  for (std::size_t a = 0; a < t.size(); ++a) t[a] = (a >> v) & 1;
+  return t;
+}
+
+template <typename Op>
+Table zip(const Table& x, const Table& y, Op op) {
+  Table t(x.size());
+  for (std::size_t a = 0; a < t.size(); ++a) t[a] = op(x[a], y[a]);
+  return t;
+}
+
+Table negate(const Table& x) {
+  return zip(x, x, [](bool p, bool) { return !p; });
+}
+
+Table exists_table(Table t, const std::vector<int>& vars) {
+  for (int v : vars) {
+    const std::size_t bit = std::size_t{1} << v;
+    for (std::size_t a = 0; a < t.size(); ++a) t[a] = t[a] || t[a ^ bit];
+  }
+  return t;
+}
+
+// rename(f, map) under assignment a is f under the assignment that gives
+// each variable x the value a assigns to map(x).
+Table rename_table(const Table& t, int nv, const std::map<int, int>& map) {
+  Table out(t.size());
+  for (std::size_t a = 0; a < t.size(); ++a) {
+    std::size_t src = 0;
+    for (int x = 0; x < nv; ++x) {
+      auto it = map.find(x);
+      const int y = it == map.end() ? x : it->second;
+      src |= ((a >> y) & 1) << x;
+    }
+    out[a] = t[src];
+  }
+  return out;
+}
+
 class BddTruthTable : public ::testing::TestWithParam<int> {};
 
 TEST_P(BddTruthTable, RandomExpressionsMatchTruthTables) {
   int seed = GetParam();
   std::mt19937 rng(static_cast<unsigned>(seed));
-  const int nv = 5;
+  // The engines' product layout in miniature: inputs 0-1, then
+  // (present, next) pairs (2, 3) and (4, 5).
+  const int nv = 6;
+  const std::vector<int> image_quantify = {0, 1, 2, 4};
+  const std::map<int, int> next_to_present = {{3, 2}, {5, 4}};
+  const std::map<int, int> swap = {{0, 1}, {1, 0}, {2, 5}, {5, 2}};
   BddManager m(nv);
-  // Random expression tree, evaluated both as BDD and directly.
+  // Random expression tree, evaluated both as BDD and as a truth table.
   struct Expr {
     int op;  // 0 var, 1 and, 2 or, 3 xor, 4 not
     int var = 0;
@@ -135,47 +204,199 @@ TEST_P(BddTruthTable, RandomExpressionsMatchTruthTables) {
     exprs.push_back(e);
   }
   std::vector<BddId> bdds;
+  std::vector<Table> tables;
   for (const Expr& e : exprs) {
+    const auto a = static_cast<std::size_t>(e.a);
+    const auto b = static_cast<std::size_t>(e.b);
     switch (e.op) {
       case 0:
         bdds.push_back(m.var(e.var));
+        tables.push_back(var_table(nv, e.var));
         break;
       case 1:
-        bdds.push_back(m.land(bdds[static_cast<std::size_t>(e.a)],
-                              bdds[static_cast<std::size_t>(e.b)]));
+        bdds.push_back(m.land(bdds[a], bdds[b]));
+        tables.push_back(zip(tables[a], tables[b], std::logical_and<>()));
         break;
       case 2:
-        bdds.push_back(m.lor(bdds[static_cast<std::size_t>(e.a)],
-                             bdds[static_cast<std::size_t>(e.b)]));
+        bdds.push_back(m.lor(bdds[a], bdds[b]));
+        tables.push_back(zip(tables[a], tables[b], std::logical_or<>()));
         break;
       case 3:
-        bdds.push_back(m.lxor(bdds[static_cast<std::size_t>(e.a)],
-                              bdds[static_cast<std::size_t>(e.b)]));
+        bdds.push_back(m.lxor(bdds[a], bdds[b]));
+        tables.push_back(zip(tables[a], tables[b], std::not_equal_to<>()));
         break;
       default:
-        bdds.push_back(m.lnot(bdds[static_cast<std::size_t>(e.a)]));
+        bdds.push_back(m.lnot(bdds[a]));
+        tables.push_back(negate(tables[a]));
         break;
     }
   }
-  std::function<bool(int, const std::vector<bool>&)> direct =
-      [&](int k, const std::vector<bool>& env) -> bool {
-    const Expr& e = exprs[static_cast<std::size_t>(k)];
-    switch (e.op) {
-      case 0: return env[static_cast<std::size_t>(e.var)];
-      case 1: return direct(e.a, env) && direct(e.b, env);
-      case 2: return direct(e.a, env) || direct(e.b, env);
-      case 3: return direct(e.a, env) != direct(e.b, env);
-      default: return !direct(e.a, env);
+  for (std::size_t k = 0; k < exprs.size(); ++k) {
+    const std::size_t j = rng() % bdds.size();
+    const BddId f = bdds[k], g = bdds[j];
+    const Table& tf = tables[k];
+    const Table not_tg = negate(tables[j]);
+    EXPECT_EQ(table_of(m, f), tf) << "expr " << k;
+
+    // Complement edges: negation is free and an involution.
+    const std::size_t nodes = m.node_table_size();
+    EXPECT_EQ(m.lnot(m.lnot(f)), f);
+    EXPECT_EQ(table_of(m, m.lnot(f)), negate(tf));
+    EXPECT_EQ(m.node_table_size(), nodes);
+
+    std::vector<int> q;
+    for (int v = 0; v < nv; ++v) {
+      if (rng() % 2) q.push_back(v);
     }
-  };
-  for (unsigned assign = 0; assign < (1u << nv); ++assign) {
-    std::vector<bool> env;
-    for (int v = 0; v < nv; ++v) env.push_back((assign >> v) & 1);
-    for (std::size_t k = 0; k < exprs.size(); ++k) {
-      EXPECT_EQ(m.eval(bdds[k], env), direct(static_cast<int>(k), env))
-          << "expr " << k << " assign " << assign;
-    }
+    EXPECT_EQ(table_of(m, m.exists(f, q)), exists_table(tf, q));
+    EXPECT_EQ(table_of(m, m.exists(m.lnot(f), q)), exists_table(negate(tf), q));
+    const BddId rel = m.and_exists(m.lnot(f), m.lnot(g), q);
+    EXPECT_EQ(table_of(m, rel),
+              exists_table(zip(negate(tf), not_tg, std::logical_and<>()), q));
+    EXPECT_EQ(rel, m.exists(m.land(m.lnot(f), m.lnot(g)), q));
+
+    // An image step as the engines take it: quantify inputs and present
+    // state, then rename next -> present (the order-preserving mk path).
+    const BddId img = m.and_exists(f, m.lnot(g), image_quantify);
+    const Table timg = exists_table(zip(tf, not_tg, std::logical_and<>()),
+                                    image_quantify);
+    EXPECT_EQ(table_of(m, m.rename(img, next_to_present)),
+              rename_table(timg, nv, next_to_present));
+    EXPECT_EQ(table_of(m, m.rename(m.lnot(f), next_to_present)),
+              rename_table(negate(tf), nv, next_to_present));
+    // A swap reverses variable order, so it must take the ite fallback.
+    EXPECT_EQ(table_of(m, m.rename(m.lnot(f), swap)),
+              rename_table(negate(tf), nv, swap));
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BddTruthTable, ::testing::Range(0, 12));
+
+// One manager through a long random op sequence that grows its tables
+// mid-recursion in every kind of operation.  The documented growth policy
+// (1024 slots, doubled once more than half full) grows the unique table
+// and the cache when the node count passes 512, 1024, 2048, ...  Ahead of
+// each such boundary the sequence runs random operations of every kind,
+// whose cache stores overwrite colliding slots throughout; then it pads
+// the node table to the boundary one node at a time and applies the
+// boundary's operation kind to fresh operands, so the grow lands inside
+// that kind's recursion.  Every result must match its truth table, and
+// under ASan a node or cache reference held across a grow fails the run.
+TEST(Bdd, LongRandomSequenceGrowsTablesMidRecursion) {
+  const int nv = 8;
+  const int kinds = 7;
+  std::mt19937 rng(1);
+  BddManager m(nv);
+  struct Operand {
+    BddId f = 0;
+    Table t;
+  };
+  std::vector<Operand> pool;
+  for (int v = 0; v < nv; ++v) pool.push_back({m.var(v), var_table(nv, v)});
+  std::map<int, int> next_to_present, swap;
+  for (int v = 0; v + 1 < nv; v += 2) next_to_present[v + 1] = v;
+  for (int v = 0; v < nv; ++v) swap[v] = nv - 1 - v;
+
+  // A pool member, complemented at random.
+  auto pick = [&]() {
+    const Operand& x = pool[rng() % pool.size()];
+    if (rng() % 2 == 0) return x;
+    return Operand{m.lnot(x.f), negate(x.t)};
+  };
+  // A fresh random and/or/xor chain over every variable.
+  auto fresh = [&]() {
+    Operand x{m.false_bdd(), Table(std::size_t{1} << nv, false)};
+    for (int v = 0; v < nv; ++v) {
+      Operand lit{m.var(v), var_table(nv, v)};
+      if (rng() % 2 != 0) lit = {m.lnot(lit.f), negate(lit.t)};
+      switch (rng() % 3) {
+        case 0:
+          x = {m.land(x.f, lit.f), zip(x.t, lit.t, std::logical_and<>())};
+          break;
+        case 1:
+          x = {m.lor(x.f, lit.f), zip(x.t, lit.t, std::logical_or<>())};
+          break;
+        default:
+          x = {m.lxor(x.f, lit.f), zip(x.t, lit.t, std::not_equal_to<>())};
+          break;
+      }
+    }
+    return x;
+  };
+  // Applies operation `kind`; the result joins the pool and must match its
+  // brute-force truth table.
+  auto run = [&](int kind, const Operand& a, const Operand& b,
+                 const Operand& c) {
+    std::vector<int> q;
+    for (int v = 0; v < nv; ++v) {
+      if (rng() % 4 == 0) q.push_back(v);
+    }
+    Operand r;
+    switch (kind) {
+      case 0:
+        r = {m.land(a.f, b.f), zip(a.t, b.t, std::logical_and<>())};
+        break;
+      case 1:
+        r = {m.lxor(a.f, b.f), zip(a.t, b.t, std::not_equal_to<>())};
+        break;
+      case 2:
+        r = {m.ite(a.f, b.f, c.f), Table(a.t.size())};
+        for (std::size_t i = 0; i < r.t.size(); ++i) {
+          r.t[i] = a.t[i] ? b.t[i] : c.t[i];
+        }
+        break;
+      case 3:
+        r = {m.exists(a.f, q), exists_table(a.t, q)};
+        break;
+      case 4:
+        r = {m.and_exists(a.f, b.f, q),
+             exists_table(zip(a.t, b.t, std::logical_and<>()), q)};
+        break;
+      case 5:  // order-preserving: the mk path
+        r = {m.rename(a.f, next_to_present),
+             rename_table(a.t, nv, next_to_present)};
+        break;
+      default:  // order-reversing: the ite fallback
+        r = {m.rename(a.f, swap), rename_table(a.t, nv, swap)};
+        break;
+    }
+    pool.push_back(r);
+    return table_of(m, r.f) == r.t;
+  };
+  auto run_random = [&](int kind) {
+    const Operand a = pick(), b = pick(), c = pick();
+    return run(kind, a, b, c);
+  };
+  // ite(x0, g, h) with g and h free of x0 adds at most one node.
+  std::vector<BddId> pads;
+  for (int k = 0; k < 64; ++k) {
+    BddId f = m.false_bdd();
+    for (int v = 1; v < nv; ++v) {
+      f = rng() % 2 != 0 ? m.lxor(f, m.var(v)) : m.lor(f, m.nvar(v));
+    }
+    pads.push_back(f);
+  }
+  auto pad = [&]() {
+    return pads[rng() % pads.size()] ^ static_cast<BddId>(rng() % 2);
+  };
+
+  const std::size_t margin = 256;  // more than one operation's new nodes
+  for (std::size_t bound = 512, kind = 0; kind < kinds; bound *= 2) {
+    while (m.node_table_size() + margin < bound) {
+      ASSERT_TRUE(run_random(static_cast<int>(rng() % kinds)));
+    }
+    const Operand a = fresh(), b = fresh(), c = fresh();
+    if (m.node_table_size() >= bound) continue;  // overshot: next boundary
+    while (m.node_table_size() < bound) {
+      const BddId g = pad(), h = pad();
+      m.ite(m.var(0), g, h);
+    }
+    ASSERT_EQ(m.node_table_size(), bound);
+    ASSERT_TRUE(run(static_cast<int>(kind), a, b, c)) << "kind " << kind;
+    for (int tries = 0; m.node_table_size() == bound; ++tries) {
+      ASSERT_LT(tries, 100) << "operation kind " << kind << " adds no node";
+      ASSERT_TRUE(run_random(static_cast<int>(kind))) << "kind " << kind;
+    }
+    ++kind;
+  }
+}

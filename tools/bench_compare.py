@@ -8,6 +8,9 @@ Usage:
     bench_compare.py --baseline bench/baselines/BENCH_service.baseline.json \
         --current BENCH_service.json --section service_metrics \
         --higher-is-better --threshold 40 --floor-ns 0.1
+    bench_compare.py --baseline bench/baselines/BENCH_service.baseline.json \
+        --current BENCH_service.json --section service_seconds \
+        --threshold 50 --floor-ns 0.1
 
 The compared metrics live in the flat dict named by --section (default
 micro_ns_per_op).  By default lower is better (latencies); with
@@ -15,8 +18,10 @@ micro_ns_per_op).  By default lower is better (latencies); with
 Exit status 1 when any metric is more than --threshold percent worse than
 the baseline, or when a baseline metric disappeared from the current run
 (a silently dropped benchmark must not pass the gate).  Regressions
-smaller than --floor-ns in absolute terms are ignored: tiny metrics
-jitter past any percentage threshold on shared runners.
+smaller than --floor-ns in absolute terms (the section's own unit:
+nanoseconds for micro_ns_per_op, seconds for service_seconds) are
+ignored: tiny metrics jitter past any percentage threshold on shared
+runners.
 Better-than-baseline results are reported; refresh the baseline in a
 dedicated PR when an optimisation makes them permanent (see
 bench/baselines/ for provenance).
@@ -59,7 +64,7 @@ def main() -> int:
     print(f"{'metric':<32} {'baseline':>12} {'current':>12} {'delta':>8}")
     for name, base_v in sorted(base_metrics.items()):
         if name not in cur_metrics:
-            print(f"{name:<32} {base_v:>12.1f} {'MISSING':>12}")
+            print(f"{name:<32} {base_v:>12.6g} {'MISSING':>12}")
             failures.append(f"{name}: missing from current run")
             continue
         cur_v = cur_metrics[name]
@@ -71,13 +76,13 @@ def main() -> int:
         flag = ""
         if worse_pct > args.threshold and worse_abs > args.floor_ns:
             flag = "  << REGRESSION"
-            failures.append(f"{name}: {base_v:.1f} -> {cur_v:.1f} "
+            failures.append(f"{name}: {base_v:.6g} -> {cur_v:.6g} "
                             f"({worse_pct:+.1f}% worse > "
                             f"{args.threshold:.0f}%)")
-        print(f"{name:<32} {base_v:>12.1f} {cur_v:>12.1f} "
+        print(f"{name:<32} {base_v:>12.6g} {cur_v:>12.6g} "
               f"{delta:>+7.1f}%{flag}")
     for name in sorted(set(cur_metrics) - set(base_metrics)):
-        print(f"{name:<32} {'(new)':>12} {cur_metrics[name]:>12.1f}")
+        print(f"{name:<32} {'(new)':>12} {cur_metrics[name]:>12.6g}")
 
     if failures:
         print(f"\nbench_compare: {len(failures)} metric(s) regressed "
