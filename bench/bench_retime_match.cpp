@@ -20,7 +20,7 @@
 #include "hash/retime_step.h"
 #include "theories/retiming_thm.h"
 #include "verify/retime_match.h"
-#include "verify/smv_mc.h"
+#include "verify/parallel_verify.h"
 
 namespace {
 
@@ -128,7 +128,8 @@ int main(int argc, char** argv) {
     opts.timeout_sec = timeout;
     eda::circuit::GateNetlist ga = eda::circuit::bit_blast(fig2.rtl);
     eda::circuit::GateNetlist gb = eda::circuit::bit_blast(retimed);
-    eda::verify::VerifyResult smv = eda::verify::smv_check(ga, gb, opts);
+    eda::verify::VerifyResult smv =
+        eda::verify::run_check({&ga, &gb, eda::verify::Engine::Smv, opts});
 
     std::printf("%4d | %s %s %s |  %s      %7.3f\n", n,
                 cell(m.equivalent, match_s).c_str(),

@@ -25,8 +25,8 @@
 #include "kernel/parallel.h"
 #include "paper_table.h"
 #include "theories/retiming_thm.h"
+#include "verify/parallel_verify.h"
 #include "verify/sis_fsm.h"
-#include "verify/smv_mc.h"
 
 namespace {
 
@@ -98,8 +98,9 @@ int main(int argc, char** argv) {
     eda::circuit::GateNetlist gb = eda::circuit::bit_blast(res.retimed);
     eda::verify::VerifyOptions opts;
     opts.timeout_sec = timeout;
+    eda::verify::CheckJob smv{&ga, &gb, eda::verify::Engine::Smv, opts};
     row.engines = {{"SIS", eda::verify::sis_fsm_check(ga, gb, opts)},
-                   {"SMV", eda::verify::smv_check(ga, gb, opts)}};
+                   {"SMV", eda::verify::run_check(smv)}};
     return row;
   };
   std::vector<TableRow> rows;

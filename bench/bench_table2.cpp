@@ -22,7 +22,6 @@
 #include "kernel/parallel.h"
 #include "paper_table.h"
 #include "theories/retiming_thm.h"
-#include "verify/eijk.h"
 #include "verify/parallel_verify.h"
 #include "verify/sis_fsm.h"
 

@@ -11,9 +11,7 @@
 #include "circuit/bitblast.h"
 #include "hash/retime_step.h"
 #include "theories/retiming_thm.h"
-#include "verify/eijk.h"
-#include "verify/sis_fsm.h"
-#include "verify/smv_mc.h"
+#include "verify/parallel_verify.h"
 
 int main(int argc, char** argv) {
   using namespace eda;
@@ -48,9 +46,12 @@ int main(int argc, char** argv) {
                             : "-",
                 r.completed ? (r.equivalent ? "equal" : "DIFFER") : "-");
   };
-  report("SIS (explicit FSM compare)", verify::sis_fsm_check(ga, gb, opts));
-  report("SMV (monolithic MC)", verify::smv_check(ga, gb, opts));
-  report("Eijk (partitioned MC)", verify::eijk_check(ga, gb, opts, false));
-  report("Eijk+ (functional deps)", verify::eijk_check(ga, gb, opts, true));
+  auto check = [&](verify::Engine engine) {
+    return verify::run_check({&ga, &gb, engine, opts});
+  };
+  report("SIS (explicit FSM compare)", check(verify::Engine::SisFsm));
+  report("SMV (monolithic MC)", check(verify::Engine::Smv));
+  report("Eijk (partitioned MC)", check(verify::Engine::Eijk));
+  report("Eijk+ (functional deps)", check(verify::Engine::EijkPlus));
   return 0;
 }

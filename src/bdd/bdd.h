@@ -45,12 +45,13 @@ class BddError : public kernel::KernelError {
 ///   is clamped to 2^30 so a handle fits an int.
 ///
 /// Threading model: *confinement*, not sharing.  A BddManager instance is
-/// owned by exactly one thread at a time; the parallel verification
-/// pipeline (verify/parallel_verify.h) gives each obligation its own
-/// manager, which is also the memory-efficient choice — node ids are
-/// manager-relative, so one obligation's tables are meaningless to
-/// another's product machine.  Sharding these per-instance tables would
-/// only serialise the deeply recursive apply walks behind locks.
+/// owned by exactly one thread at a time: the one running its
+/// verify::check_batch call (verify/batch_bdd.h).  Within that thread a
+/// manager may serve many obligations at once — a batch's product
+/// machines all number their variables from 0, so logic they share
+/// interns to the same nodes — but it is never shared across threads;
+/// locking these tables would only serialise the deeply recursive apply
+/// walks.
 class BddManager {
  public:
   explicit BddManager(int num_vars, std::size_t node_limit = 50'000'000);

@@ -170,9 +170,14 @@ RetimeMapping conventional_retime_mapped(const Rtl& rtl, const Cut& cut) {
 }
 
 FormalRetimeResult formal_retime(const Rtl& rtl, const Cut& cut) {
-  // Step 1: split the combinational part (throws CutError on a false cut).
-  SplitCircuit split = compile_split(rtl, cut);
-  CompiledCircuit orig = compile(rtl);
+  return formal_retime(rtl, cut, compile(rtl), compile_split(rtl, cut));
+}
+
+FormalRetimeResult formal_retime(const Rtl& rtl, const Cut& cut,
+                                 const CompiledCircuit& orig,
+                                 const SplitCircuit& split) {
+  // Step 1, the split of the combinational part, is `split` (compile_split
+  // throws CutError on a false cut).
   Rtl retimed_rtl = conventional_retime(rtl, cut);
   CompiledCircuit retimed = compile(retimed_rtl);
 

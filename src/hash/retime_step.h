@@ -37,6 +37,13 @@ struct FormalRetimeResult {
 /// no matter what cut the heuristic supplied.
 FormalRetimeResult formal_retime(const circuit::Rtl& rtl, const Cut& cut);
 
+/// The same step for a caller that already holds `compile(rtl)` and
+/// `compile_split(rtl, cut)` (the service builds its theorem-cache goal
+/// from them), so neither is computed twice.
+FormalRetimeResult formal_retime(const circuit::Rtl& rtl, const Cut& cut,
+                                 const CompiledCircuit& orig,
+                                 const SplitCircuit& split);
+
 /// The conventional (unverified) counterpart: the same netlist transform
 /// without entering the logic.  Used as the plain-synthesis baseline and to
 /// cross-check structural agreement in tests.

@@ -109,7 +109,8 @@ verify::FailureKind failure_kind_of(VerdictClass v) {
 GuardedRun run_guarded(
     const RetryPolicy& policy, const verify::VerifyOptions& opts,
     const std::function<verify::VerifyResult(const verify::VerifyOptions&)>&
-        attempt) {
+        attempt,
+    const verify::VerifyResult* first) {
   GuardedRun g;
   verify::VerifyOptions cur = opts;
   Clock::time_point t0 = Clock::now();
@@ -129,7 +130,7 @@ GuardedRun run_guarded(
       if (faults.should_fail(kFaultEngineBdd)) {
         throw bdd::BddError("injected BDD pool failure");
       }
-      g.result = attempt(cur);
+      g.result = retry == 0 && first != nullptr ? *first : attempt(cur);
       g.verdict = classify_result(g.result);
       g.error.clear();
     } catch (const std::exception& e) {

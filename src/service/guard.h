@@ -92,10 +92,14 @@ struct GuardedRun {
 /// must not poison its batch), retryable failures re-run with escalated
 /// budgets and capped exponential backoff, and the fault-injection sites
 /// `worker`, `alloc` and `engine_bdd` fire here so the chaos schedule
-/// exercises the exact recovery ladder production would run.
+/// exercises the exact recovery ladder production would run.  `first`,
+/// when given, is the first attempt's result, already computed elsewhere
+/// (the service's shared-pool batch): the sites still fire for it, and
+/// only retries call `attempt`.
 GuardedRun run_guarded(
     const RetryPolicy& policy, const verify::VerifyOptions& opts,
     const std::function<verify::VerifyResult(const verify::VerifyOptions&)>&
-        attempt);
+        attempt,
+    const verify::VerifyResult* first = nullptr);
 
 }  // namespace eda::service

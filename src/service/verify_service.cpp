@@ -75,24 +75,19 @@ kernel::Term engine_bounds_term(verify::Engine eng, double timeout_sec,
       thy::mk_numeral(static_cast<std::uint64_t>(eng)), bounds);
 }
 
-/// Leading marker of blif-pair verdict keys, keeping them structurally
-/// disjoint from the RTL keys (whose first component is a compiled-circuit
-/// lambda term, never a numeral).
+/// Leading markers of the hash-keyed verdict families: whole blif pairs
+/// and the per-cone obligations of the incremental path.  Two disjoint
+/// families, both disjoint from the RTL keys (whose first component is a
+/// compiled-circuit lambda term, never a numeral), so a whole-pair verdict
+/// and a cone verdict for the same hashes can never collide.
 constexpr std::uint64_t kBlifKeyTag = 0xb11fULL;
-
-/// Leading marker of per-cone verdict keys (incremental blif-pair path) —
-/// a third disjoint key family, so a whole-pair verdict and a cone verdict
-/// for the same hashes can never collide.
 constexpr std::uint64_t kConeKeyTag = 0xc09eULL;
 
-kernel::Term cone_key(std::uint64_t hash_a, std::uint64_t hash_b,
-                      verify::Engine eng, double timeout_sec,
-                      const verify::VerifyOptions& vopts) {
-  return thy::mk_pair(
-      thy::mk_numeral(kConeKeyTag),
-      thy::mk_pair(thy::mk_pair(thy::mk_numeral(hash_a),
-                                thy::mk_numeral(hash_b)),
-                   engine_bounds_term(eng, timeout_sec, vopts)));
+kernel::Term cone_key(std::uint64_t tag, const verify::ConePair& p,
+                      const kernel::Term& bounds) {
+  kernel::Term hashes =
+      thy::mk_pair(thy::mk_numeral(p.hash_a), thy::mk_numeral(p.hash_b));
+  return thy::mk_pair(thy::mk_numeral(tag), thy::mk_pair(hashes, bounds));
 }
 
 int spec_int(const std::string& spec, const std::string& field) {
@@ -210,11 +205,10 @@ namespace {
 
 /// Build the one CacheBackend the service runs against, from the cache
 /// policy group: remote when a server is named, file when a cache file is
-/// bound, in-process otherwise.  With sharing off the backend is never
-/// consulted, so the plain in-process one suffices.
+/// bound, in-process otherwise.
 std::unique_ptr<CacheBackend> make_backend(const ServiceOptions& opts) {
   const CachePolicy& c = opts.cache;
-  if (c.share && !c.server.empty()) {
+  if (!c.server.empty()) {
     RemoteBackendOptions ro;
     ro.server = c.server;
     ro.tenant = c.tenant;
@@ -226,7 +220,7 @@ std::unique_ptr<CacheBackend> make_backend(const ServiceOptions& opts) {
     ro.batch = c.remote_batch;
     return std::make_unique<RemoteBackend>(std::move(ro));
   }
-  if (c.share && !c.file.empty()) {
+  if (!c.file.empty()) {
     return std::make_unique<FileBackend>(c.file, c.file_options);
   }
   return std::make_unique<InProcessBackend>();
@@ -241,6 +235,11 @@ struct VerifyService::Impl {
         backend(make_backend(opts)) {}
 
   JobResult run_job(const JobSpec& spec);
+  verify::StitchedVerdict discharge(const JobSpec& spec,
+                                    const verify::VerifyOptions& vopts,
+                                    const std::vector<verify::ConePair>& pairs,
+                                    const std::vector<kernel::Term>& keys,
+                                    CacheBackend& cache, JobResult& r);
 
   ServiceOptions opts;
   kernel::ThreadPool pool;
@@ -261,6 +260,129 @@ struct VerifyService::Impl {
   double batch_cpu0 = 0.0;
 };
 
+/// The one obligation pipeline, for every job with an engine method: the
+/// obligations are `pairs`, keyed by `keys`.  ONE batched lookup (against
+/// a remote backend, a single LookupBatch frame), the engine-free tiers
+/// (identity, miter fold, sim refutation) on the misses in parallel, ONE
+/// shared-pool check_batch over the survivors, ONE batched publish of
+/// everything the job proved.  Each survivor's batch result is the first
+/// attempt of its guarded run; a retry — or every attempt, when the batch
+/// itself throws — re-runs that obligation alone, so the shared pool can
+/// cost time but never a verdict.  Cache hits are not re-published: their
+/// lookup already counted, and lookup()/publish() pairing keeps the
+/// cache's 1-miss/k-1-hit accounting per entry.  The stitched verdict and
+/// its accounting land in `r`.
+verify::StitchedVerdict VerifyService::Impl::discharge(
+    const JobSpec& spec, const verify::VerifyOptions& vopts,
+    const std::vector<verify::ConePair>& pairs,
+    const std::vector<kernel::Term>& keys, CacheBackend& cache, JobResult& r) {
+  const std::size_t n = pairs.size();
+  std::vector<std::uint8_t> hit;
+  std::vector<std::optional<verify::VerifyResult>> settled =
+      cache.lookup_verdicts(keys, &hit);
+  std::vector<std::uint64_t> spent(n, 0);
+  const sim::SimOptions sim_opts{opts.sim.vectors, opts.sim.frames,
+                                 opts.sim.seed};
+  kernel::parallel_for(
+      n,
+      [&](std::size_t i) {
+        if (!settled[i]) {
+          settled[i] = verify::check_cone_fast(
+              {&pairs[i], opts.sim.enabled, sim_opts}, &spent[i]);
+        }
+      },
+      pool);
+
+  std::vector<std::size_t> rest;
+  std::vector<verify::CheckJob> engine_jobs;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (settled[i]) continue;
+    rest.push_back(i);
+    engine_jobs.push_back(
+        {&pairs[i].a, &pairs[i].b, *engine_of(spec.method), vopts});
+  }
+  std::vector<verify::VerifyResult> batch;
+  if (!rest.empty()) {
+    try {
+      if (FaultInjector::instance().should_fail(kFaultBatchPool)) {
+        throw bdd::BddError("injected batched-pool failure");
+      }
+      batch = verify::check_batch(engine_jobs);
+    } catch (const std::exception&) {
+      // No batch result: every survivor runs alone, guarded, below.
+    }
+  }
+  // The service-wide retry group, specialised by the job's own retry
+  // budget and deadline.
+  RetryPolicy policy = opts.retry;
+  if (spec.max_retries >= 0) policy.max_retries = spec.max_retries;
+  policy.deadline_sec =
+      spec.deadline_ms > 0.0 ? spec.deadline_ms / 1000.0 : 0.0;
+  std::vector<GuardedRun> runs(rest.size());
+  kernel::parallel_for(
+      rest.size(),
+      [&](std::size_t k) {
+        runs[k] = run_guarded(
+            policy, vopts,
+            [&](const verify::VerifyOptions& cur) {
+              verify::CheckJob alone = engine_jobs[k];
+              alone.opts = cur;
+              return verify::check_batch({alone}).front();
+            },
+            batch.empty() ? nullptr : &batch[k]);
+      },
+      pool);
+  for (std::size_t k = 0; k < rest.size(); ++k) {
+    runs[k].result.sim_vectors = spent[rest[k]];
+    settled[rest[k]] = runs[k].result;
+    r.attempts = std::max(r.attempts, runs[k].attempts);
+    r.backoff_ms += runs[k].backoff_ms;
+  }
+
+  std::vector<verify::ConeVerdict> verdicts(n);
+  std::vector<VerdictPublish> pubs;
+  std::vector<std::size_t> pub_idx;
+  for (std::size_t i = 0; i < n; ++i) {
+    verdicts[i].output = pairs[i].output;
+    verdicts[i].cache_hit = hit[i] != 0;
+    if (verdicts[i].cache_hit) {
+      verdicts[i].result = *settled[i];
+      continue;
+    }
+    // Only a completed verdict is a pure function of the pair, engine and
+    // bounds; a blown budget describes this machine at this moment, so it
+    // is returned uncached and a later identical job gets to retry.
+    pubs.push_back({keys[i], *settled[i], settled[i]->completed});
+    pub_idx.push_back(i);
+  }
+  std::vector<std::pair<verify::VerifyResult, bool>> published =
+      cache.publish_verdicts(std::move(pubs));
+  for (std::size_t k = 0; k < pub_idx.size(); ++k) {
+    verdicts[pub_idx[k]].result = std::move(published[k].first);
+  }
+
+  verify::StitchedVerdict sv = verify::stitch_verdicts(verdicts);
+  r.counterexample = sv.counterexample;
+  r.sim_refuted = sv.sim_refuted;
+  r.sim_vectors = sv.sim_vectors;
+  r.completed = sv.completed;
+  r.equivalent = sv.equivalent;
+  if (sv.completed) {
+    r.verdict = sv.equivalent ? VerdictClass::Equiv : VerdictClass::Nonequiv;
+  } else {
+    // The job inherits the first unresolved obligation's failure class.
+    for (const verify::ConeVerdict& cv : verdicts) {
+      if (!cv.result.completed) {
+        r.verdict = classify_result(cv.result);
+        break;
+      }
+    }
+  }
+  // "Cache hit" at job granularity = every obligation came from cache.
+  r.result_cache_hit = sv.reproved == 0;
+  return sv;
+}
+
 JobResult VerifyService::Impl::run_job(const JobSpec& spec) {
   JobResult r;
   r.circuit = spec.circuit;
@@ -271,9 +393,10 @@ JobResult VerifyService::Impl::run_job(const JobSpec& spec) {
                : spec.name;
   auto t0 = Clock::now();
   try {
+    const std::optional<verify::Engine> eng = engine_of(spec.method);
     // Reject the method/spec mismatch before touching any files: the
     // diagnostic should name the real problem, not a side effect of it.
-    if (spec.circuit.rfind("blif:", 0) == 0 && !engine_of(spec.method)) {
+    if (spec.circuit.rfind("blif:", 0) == 0 && !eng) {
       throw ServiceError(std::string("method ") + method_name(spec.method) +
                          " needs an RTL circuit spec (a blif: pair carries "
                          "no retiming to prove)");
@@ -287,409 +410,135 @@ JobResult VerifyService::Impl::run_job(const JobSpec& spec) {
     Resolved rc = resolve_circuit(spec.circuit);
     verify::VerifyOptions vopts;
     vopts.timeout_sec = spec.timeout_sec;
-    sim::SimOptions sim_opts;
-    sim_opts.vectors = opts.sim.vectors;
-    sim_opts.frames = opts.sim.frames;
-    sim_opts.seed = opts.sim.seed;
-    // Every engine run below goes through run_guarded with this policy:
-    // the service-wide retry group, specialised by the job's own retry
-    // budget and deadline.
-    RetryPolicy policy = opts.retry;
-    if (spec.max_retries >= 0) policy.max_retries = spec.max_retries;
-    policy.deadline_sec =
-        spec.deadline_ms > 0.0 ? spec.deadline_ms / 1000.0 : 0.0;
+    // With sharing off, the job runs against its own empty cache.
+    std::unique_ptr<CacheBackend> own;
+    if (!opts.cache.share) own = std::make_unique<InProcessBackend>();
+    CacheBackend& cache = own ? *own : *backend;
 
-    if (rc.is_pair) {
-      verify::Engine eng = *engine_of(spec.method);
-      r.ff = rc.net_a.ff_count();
-      r.gates = rc.net_a.gate_count();
-      auto tv = Clock::now();
-      if (opts.incremental &&
-          rc.net_a.outputs().size() == rc.net_b.outputs().size() &&
-          !rc.net_a.outputs().empty()) {
-        // Decompose → lookup → prove → stitch.  Each output cone is an
-        // independent obligation keyed on its own pair of canonical cone
-        // hashes: an edit to one cone leaves every other cone's key — and
-        // hence its cached verdict — untouched, so only the changed cones
-        // reach an engine.  The cone obligations fan out over the same
-        // pool the jobs run on (parallel_for nests; the job thread
-        // participates).
-        std::vector<verify::ConePair> pairs =
-            verify::pair_cones(rc.net_a, rc.net_b);
-        std::vector<verify::ConeVerdict> cones(pairs.size());
-        std::vector<verify::ConeJob> cjobs(pairs.size());
-        for (std::size_t i = 0; i < pairs.size(); ++i) {
-          cjobs[i] = {&pairs[i], eng, vopts, opts.sim.enabled, sim_opts};
-          cones[i].output = pairs[i].output;
-        }
-        // Per-cone retry accounting, indexed so the parallel sections
-        // never race on `r`; reduced into the job result after stitching.
-        std::vector<int> cone_attempts(pairs.size(), 0);
-        std::vector<double> cone_backoff(pairs.size(), 0.0);
-        auto guarded_cone = [&](std::size_t i) {
-          GuardedRun g = run_guarded(
-              policy, vopts, [&](const verify::VerifyOptions& cur) {
-                verify::ConeJob j = cjobs[i];
-                j.opts = cur;
-                return verify::check_cone(j);
-              });
-          cone_attempts[i] = g.attempts;
-          cone_backoff[i] = g.backoff_ms;
-          return g.result;
-        };
-        if (opts.cache.share && opts.batch_bdd) {
-          // Phase A: build every cone key (parallel), then consult the
-          // cache with ONE batched lookup — against a remote backend that
-          // is a single LookupBatch frame for the whole decomposition —
-          // and run the engine-free cheap tiers (identity, miter fold,
-          // sim refutation) on the misses in parallel.  Phase B: the
-          // surviving cones run together on the shared-pool batched BDD
-          // kernel.  Publication happens last as ONE batched publish,
-          // with lookup()/publish() pairing preserving the cache's
-          // 1-miss/k-1-hit accounting per entry.
-          std::vector<std::optional<verify::VerifyResult>> settled(
-              pairs.size());
-          std::vector<std::uint64_t> spent(pairs.size(), 0);
-          // optional: Term has no default construction (every Term is a
-          // real interned node).
-          std::vector<std::optional<kernel::Term>> keys(pairs.size());
-          kernel::parallel_for(
-              pairs.size(),
-              [&](std::size_t i) {
-                keys[i] = cone_key(pairs[i].hash_a, pairs[i].hash_b, eng,
-                                   spec.timeout_sec, vopts);
-              },
-              pool);
-          std::vector<kernel::Term> flat_keys;
-          flat_keys.reserve(pairs.size());
-          for (const auto& k : keys) flat_keys.push_back(*k);
-          std::vector<std::uint8_t> hit_bits;
-          std::vector<std::optional<verify::VerifyResult>> cached =
-              backend->lookup_verdicts(flat_keys, &hit_bits);
-          kernel::parallel_for(
-              pairs.size(),
-              [&](std::size_t i) {
-                cones[i].cache_hit = hit_bits[i] != 0;
-                if (cached[i]) {
-                  settled[i] = *cached[i];
-                  return;
-                }
-                settled[i] = verify::check_cone_fast(cjobs[i], &spent[i]);
-              },
-              pool);
-          std::vector<std::size_t> rest;
-          std::vector<verify::CheckJob> engine_jobs;
-          for (std::size_t i = 0; i < pairs.size(); ++i) {
-            if (settled[i]) continue;
-            rest.push_back(i);
-            engine_jobs.push_back({&pairs[i].a, &pairs[i].b, eng, vopts});
-          }
-          std::vector<verify::VerifyResult> proved;
-          try {
-            if (FaultInjector::instance().should_fail(kFaultBatchPool)) {
-              throw bdd::BddError("injected batched-pool failure");
-            }
-            proved = verify::check_batch(engine_jobs);
-          } catch (const std::exception&) {
-            // Degrade ladder: the shared-pool kernel failed wholesale, so
-            // every surviving cone falls back to its own private manager
-            // under the retry guard — slower, never a different verdict.
-            proved.resize(engine_jobs.size());
-            kernel::parallel_for(
-                rest.size(),
-                [&](std::size_t k) { proved[k] = guarded_cone(rest[k]); },
-                pool);
-          }
-          for (std::size_t k = 0; k < rest.size(); ++k) {
-            proved[k].sim_vectors = spent[rest[k]];
-            settled[rest[k]] = proved[k];
-          }
-          // ONE batched publish of everything this job proved (cache
-          // hits are excluded: their lookup already counted, and
-          // re-publishing would turn the 1-miss/k-1-hit contract into
-          // double counting).
-          std::vector<VerdictPublish> pubs;
-          std::vector<std::size_t> pub_idx;
-          for (std::size_t i = 0; i < pairs.size(); ++i) {
-            if (cones[i].cache_hit) {
-              cones[i].result = *settled[i];
-              continue;
-            }
-            pubs.push_back(
-                {*keys[i], *settled[i], settled[i]->completed});
-            pub_idx.push_back(i);
-          }
-          std::vector<std::pair<verify::VerifyResult, bool>> published =
-              backend->publish_verdicts(std::move(pubs));
-          for (std::size_t k = 0; k < pub_idx.size(); ++k) {
-            cones[pub_idx[k]].result = std::move(published[k].first);
-          }
-        } else if (opts.batch_bdd) {
-          // No cache to consult: the whole decomposition goes through the
-          // batched fast-tiers + shared-pool kernel pipeline directly.
-          std::vector<verify::VerifyResult> rs;
-          try {
-            if (FaultInjector::instance().should_fail(kFaultBatchPool)) {
-              throw bdd::BddError("injected batched-pool failure");
-            }
-            rs = verify::check_cones_batched(cjobs);
-          } catch (const std::exception&) {
-            rs.resize(cjobs.size());
-            kernel::parallel_for(
-                pairs.size(), [&](std::size_t i) { rs[i] = guarded_cone(i); },
-                pool);
-          }
-          for (std::size_t i = 0; i < pairs.size(); ++i) {
-            cones[i].result = rs[i];
-          }
-        } else {
-          kernel::parallel_for(
-              pairs.size(),
-              [&](std::size_t i) {
-                verify::ConeVerdict& cv = cones[i];
-                if (opts.cache.share) {
-                  kernel::Term key = cone_key(pairs[i].hash_a,
-                                              pairs[i].hash_b, eng,
-                                              spec.timeout_sec, vopts);
-                  cv.result = backend->get_or_prove_verdict(
-                      key, [&] { return guarded_cone(i); },
-                      [](const verify::VerifyResult& res) {
-                        return res.completed;
-                      },
-                      &cv.cache_hit);
-                } else {
-                  cv.result = guarded_cone(i);
-                }
-              },
-              pool);
-        }
-        verify::StitchedVerdict sv = verify::stitch_verdicts(cones);
-        r.cones = sv.cones;
-        r.cone_hits = sv.hits;
-        r.cones_reproved = sv.reproved;
-        r.counterexample = sv.counterexample;
-        r.sim_refuted = sv.sim_refuted;
-        r.sim_vectors = sv.sim_vectors;
-        r.completed = sv.completed;
-        r.equivalent = sv.equivalent;
-        if (sv.completed) {
-          r.verdict = sv.equivalent ? VerdictClass::Equiv
-                                    : VerdictClass::Nonequiv;
-        } else {
-          // The job inherits the first unresolved cone's failure class.
-          r.verdict = VerdictClass::Unknown;
-          for (const verify::ConeVerdict& cv : cones) {
-            if (!cv.result.completed) {
-              r.verdict = classify_result(cv.result);
-              break;
-            }
-          }
-        }
-        for (std::size_t i = 0; i < pairs.size(); ++i) {
-          r.attempts = std::max(r.attempts, cone_attempts[i]);
-          r.backoff_ms += cone_backoff[i];
-        }
-        // "Cache hit" at job granularity = every cone came from cache.
-        r.result_cache_hit = sv.reproved == 0;
-        r.verify_sec = seconds_since(tv);
-        r.ok = true;
-        r.total_sec = seconds_since(t0);
-        return r;
-      }
-      auto run_engine = [&](const verify::VerifyOptions& cur) {
-        // Pre-filter inside the prove lambda: a sim refutation is an
-        // engine-independent truth (it holds from every initial register
-        // state), so caching it under the engine key is sound, and a
-        // cache hit skips the simulation along with the engine.
-        if (opts.sim.enabled) {
-          sim::RefuteResult sr = sim::refute(rc.net_a, rc.net_b, sim_opts);
-          if (sr.refuted) {
-            verify::VerifyResult sv;
-            sv.completed = true;
-            sv.equivalent = false;
-            sv.sim_refuted = true;
-            sv.sim_vectors = sr.vectors;
-            sv.counterexample = sr.cex.output;
-            return sv;
-          }
-          verify::VerifyResult ev =
-              verify::run_check({&rc.net_a, &rc.net_b, eng, cur});
-          ev.sim_vectors = sr.vectors;
-          return ev;
-        }
-        return verify::run_check({&rc.net_a, &rc.net_b, eng, cur});
-      };
-      auto guarded_engine = [&] {
-        GuardedRun g = run_guarded(policy, vopts, run_engine);
-        r.attempts = std::max(r.attempts, g.attempts);
-        r.backoff_ms += g.backoff_ms;
-        return g.result;
-      };
-      verify::VerifyResult v;
-      if (opts.cache.share) {
-        // Raw netlist pairs have no term-level goal, but they DO have a
-        // structural identity: key the verdict on both structural netlist
-        // hashes (io/blif.h — name-independent, so re-exports of the same
-        // design hit too).  This is what lets BLIF-pair traffic profit
-        // from a warm-started cache across service restarts.  Same
-        // completed-only publication rule as the RTL path below.
-        kernel::Term key = thy::mk_pair(
-            thy::mk_numeral(kBlifKeyTag),
-            thy::mk_pair(
-                thy::mk_pair(thy::mk_numeral(io::structural_hash(rc.net_a)),
-                             thy::mk_numeral(io::structural_hash(rc.net_b))),
-                engine_bounds_term(eng, spec.timeout_sec, vopts)));
-        v = backend->get_or_prove_verdict(
-            key, guarded_engine,
-            [](const verify::VerifyResult& res) { return res.completed; },
-            &r.result_cache_hit);
-      } else {
-        v = guarded_engine();
-      }
-      r.verify_sec = seconds_since(tv);
-      r.completed = v.completed;
-      r.equivalent = v.equivalent;
-      r.verdict = classify_result(v);
-      r.sim_refuted = v.sim_refuted ? 1 : 0;
-      r.sim_vectors = v.sim_vectors;
-      r.counterexample = v.counterexample;
-      r.ok = true;
-      r.total_sec = seconds_since(t0);
-      return r;
-    }
-
-    // The formal HASH synthesis step, shared across the whole service: the
-    // goal term (f, (g, q)) determines the retiming theorem, so an
-    // obligation that recurs — same circuit shape at the same width, from
-    // any job — is proved once.  With sharing off, no goal term is built
-    // at all (the uncached baseline should not pay for keys it never
-    // uses).
-    auto ts = Clock::now();
-    std::optional<hash::CompiledCircuit> comp;
-    kernel::Thm thm = [&] {
-      if (!opts.cache.share) {
-        return hash::formal_retime(rc.rtl, rc.cut).theorem;
-      }
-      comp = hash::compile(rc.rtl);
-      hash::SplitCircuit split = hash::compile_split(rc.rtl, rc.cut);
-      kernel::Term goal =
-          thy::mk_pair(split.f, thy::mk_pair(split.g, comp->q));
-      return backend->get_or_prove_theorem(
-          goal,
-          [&] { return hash::formal_retime(rc.rtl, rc.cut).theorem; },
-          &r.theorem_cache_hit);
-    }();
-    r.synth_sec = seconds_since(ts);
-
-    // Only the post-hoc checkers need the retimed netlist materialised;
-    // Method::Hash jobs on a theorem hit stay netlist-free.
+    // Lower the job to its obligations, each a pair plus its verdict key.
+    std::vector<verify::ConePair> pairs;
+    std::vector<kernel::Term> keys;
+    bool decomposed = false;
     auto tv = Clock::now();
-    switch (spec.method) {
-      case Method::Hash:
+    if (rc.is_pair) {
+      const circuit::GateNetlist& a = rc.net_a;
+      const circuit::GateNetlist& b = rc.net_b;
+      r.ff = a.ff_count();
+      r.gates = a.gate_count();
+      if (a.inputs().size() != b.inputs().size() ||
+          a.outputs().size() != b.outputs().size()) {
+        throw ServiceError(
+            "circuit spec '" + spec.circuit + "': interface mismatch (" +
+            std::to_string(a.inputs().size()) + "/" +
+            std::to_string(a.outputs().size()) + " vs " +
+            std::to_string(b.inputs().size()) + "/" +
+            std::to_string(b.outputs().size()) + " inputs/outputs)");
+      }
+      kernel::Term bounds = engine_bounds_term(*eng, spec.timeout_sec, vopts);
+      decomposed = opts.incremental && !a.outputs().empty();
+      if (decomposed) {
+        // Each output cone is an independent obligation keyed on its own
+        // pair of canonical cone hashes: an edit to one cone leaves every
+        // other cone's key — and hence its cached verdict — untouched.
+        // Building a key interns two 64-bit numerals, per-cone work that
+        // fans out over the pool like the cheap tiers.
+        pairs = verify::pair_cones(a, b);
+        std::vector<std::optional<kernel::Term>> cone_keys(pairs.size());
+        kernel::parallel_for(
+            pairs.size(),
+            [&](std::size_t i) {
+              cone_keys[i] = cone_key(kConeKeyTag, pairs[i], bounds);
+            },
+            pool);
+        for (const std::optional<kernel::Term>& k : cone_keys) {
+          keys.push_back(*k);
+        }
+      } else {
+        // The whole pair, keyed on both structural netlist hashes
+        // (io/blif.h — name-independent, so re-exports of the same design
+        // hit too, across restarts via a warm-started cache).
+        verify::ConePair p;
+        p.hash_a = io::structural_hash(a);
+        p.hash_b = io::structural_hash(b);
+        p.a = std::move(rc.net_a);
+        p.b = std::move(rc.net_b);
+        keys.push_back(cone_key(kBlifKeyTag, p, bounds));
+        pairs.push_back(std::move(p));
+      }
+    } else {
+      // The formal HASH synthesis step, shared across the whole service:
+      // the goal term (f, (g, q)) determines the retiming theorem, so an
+      // obligation that recurs — same circuit shape at the same width,
+      // from any job — is proved once.
+      auto ts = Clock::now();
+      hash::CompiledCircuit comp = hash::compile(rc.rtl);
+      hash::SplitCircuit split = hash::compile_split(rc.rtl, rc.cut);
+      std::optional<circuit::Rtl> retimed;
+      cache.get_or_prove_theorem(
+          thy::mk_pair(split.f, thy::mk_pair(split.g, comp.q)),
+          [&] {
+            hash::FormalRetimeResult fr =
+                hash::formal_retime(rc.rtl, rc.cut, comp, split);
+            retimed = std::move(fr.retimed);
+            return fr.theorem;
+          },
+          &r.theorem_cache_hit);
+      r.synth_sec = seconds_since(ts);
+      tv = Clock::now();
+      if (spec.method == Method::Hash) {
         // The theorem *is* the verdict (LCF discipline: it cannot exist
-        // unless the retiming is correct).
-        (void)thm;
+        // unless the retiming is correct); on a theorem hit the job stays
+        // netlist-free.
         r.completed = true;
         r.equivalent = true;
         r.verdict = VerdictClass::Equiv;
-        break;
-      case Method::Match: {
-        circuit::Rtl retimed = hash::conventional_retime(rc.rtl, rc.cut);
-        verify::RetimeMatchResult m =
-            verify::verify_retiming(rc.rtl, retimed, spec.seed);
-        r.completed = true;
-        r.equivalent = m.equivalent;
-        r.verdict =
-            m.equivalent ? VerdictClass::Equiv : VerdictClass::Nonequiv;
-        break;
-      }
-      default: {
-        circuit::Rtl retimed = hash::conventional_retime(rc.rtl, rc.cut);
-        circuit::GateNetlist ga = circuit::bit_blast(rc.rtl);
-        r.ff = ga.ff_count();
-        r.gates = ga.gate_count();
-        verify::Engine eng = *engine_of(spec.method);
-        // The retimed side is only bit-blasted when the engine actually
-        // runs — a verdict-cache hit skips it.
-        auto run_engine = [&](const verify::VerifyOptions& cur) {
-          circuit::GateNetlist gb = circuit::bit_blast(retimed);
-          // Same pre-filter as the blif-pair path; on RTL jobs the pair
-          // came out of the retiming kernel, so a refutation here would
-          // flag a kernel bug — which is exactly why the fuzz leg runs it.
-          if (opts.sim.enabled) {
-            sim::RefuteResult sr = sim::refute(ga, gb, sim_opts);
-            if (sr.refuted) {
-              verify::VerifyResult sv;
-              sv.completed = true;
-              sv.equivalent = false;
-              sv.sim_refuted = true;
-              sv.sim_vectors = sr.vectors;
-              sv.counterexample = sr.cex.output;
-              return sv;
-            }
-            verify::VerifyResult ev =
-                verify::run_check({&ga, &gb, eng, cur});
-            ev.sim_vectors = sr.vectors;
-            return ev;
-          }
-          return verify::run_check({&ga, &gb, eng, cur});
-        };
-        auto guarded_engine = [&] {
-          GuardedRun g = run_guarded(policy, vopts, run_engine);
-          r.attempts = std::max(r.attempts, g.attempts);
-          r.backoff_ms += g.backoff_ms;
-          return g.result;
-        };
-        verify::VerifyResult v;
-        if (opts.cache.share) {
-          // A *completed* engine verdict is a pure function of (both
-          // compiled circuits, engine, resource bounds); key on exactly
-          // that.  A run that blew its wall-clock/node/state budget is a
-          // statement about this machine at this moment, so it is returned
-          // uncached — a later identical job gets to retry.
-          hash::CompiledCircuit compb = hash::compile(retimed);
-          kernel::Term pair_goal = thy::mk_pair(
-              comp->h,
-              thy::mk_pair(comp->q, thy::mk_pair(compb.h, compb.q)));
-          kernel::Term key = thy::mk_pair(
-              pair_goal, engine_bounds_term(eng, spec.timeout_sec, vopts));
-          v = backend->get_or_prove_verdict(
-              key, guarded_engine,
-              [](const verify::VerifyResult& res) { return res.completed; },
-              &r.result_cache_hit);
+      } else {
+        if (!retimed) retimed = hash::conventional_retime(rc.rtl, rc.cut);
+        if (spec.method == Method::Match) {
+          verify::RetimeMatchResult m =
+              verify::verify_retiming(rc.rtl, *retimed, spec.seed);
+          r.completed = true;
+          r.equivalent = m.equivalent;
+          r.verdict =
+              m.equivalent ? VerdictClass::Equiv : VerdictClass::Nonequiv;
         } else {
-          v = guarded_engine();
+          // A completed verdict is a pure function of (both compiled
+          // circuits, engine, resource bounds); key on exactly that.
+          hash::CompiledCircuit compb = hash::compile(*retimed);
+          kernel::Term h_q_b = thy::mk_pair(compb.h, compb.q);
+          keys.push_back(thy::mk_pair(
+              thy::mk_pair(comp.h, thy::mk_pair(comp.q, h_q_b)),
+              engine_bounds_term(*eng, spec.timeout_sec, vopts)));
+          verify::ConePair p;
+          p.a = circuit::bit_blast(rc.rtl);
+          p.b = circuit::bit_blast(*retimed);
+          r.ff = p.a.ff_count();
+          r.gates = p.a.gate_count();
+          pairs.push_back(std::move(p));
         }
-        r.completed = v.completed;
-        r.equivalent = v.equivalent;
-        r.verdict = classify_result(v);
-        r.sim_refuted = v.sim_refuted ? 1 : 0;
-        r.sim_vectors = v.sim_vectors;
-        r.counterexample = v.counterexample;
-        break;
+      }
+    }
+
+    if (eng) {
+      verify::StitchedVerdict sv =
+          discharge(spec, vopts, pairs, keys, cache, r);
+      if (decomposed) {
+        r.cones = sv.cones;
+        r.cone_hits = sv.hits;
+        r.cones_reproved = sv.reproved;
       }
     }
     r.verify_sec = seconds_since(tv);
     r.ok = true;
-  } catch (const ServiceError& e) {
-    // A malformed spec can never be fixed by retrying.
-    r.ok = false;
-    r.error = e.what();
-    r.verdict = VerdictClass::InvalidRequest;
-  } catch (const verify::ConeError& e) {
-    r.ok = false;
-    r.error = e.what();
-    r.verdict = VerdictClass::InvalidRequest;
-  } catch (const io::IoError& e) {
-    r.ok = false;
-    r.error = e.what();
-    r.verdict = VerdictClass::InvalidRequest;
   } catch (const std::exception& e) {
     // Failure isolation: a bad netlist, an illegal cut or an engine error
-    // fails this job only; the batch continues.
+    // fails this job only; the batch continues.  A malformed spec or file
+    // can never be fixed by retrying.
     r.ok = false;
     r.error = e.what();
-    r.verdict = classify_exception(e);
+    bool invalid = dynamic_cast<const ServiceError*>(&e) != nullptr ||
+                   dynamic_cast<const io::IoError*>(&e) != nullptr;
+    r.verdict = invalid ? VerdictClass::InvalidRequest : classify_exception(e);
   }
   r.total_sec = seconds_since(t0);
   return r;

@@ -44,10 +44,17 @@ std::optional<Method> parse_method(const std::string& name);
 ///                   (engine methods only — there is no RTL to retime)
 ///
 /// RTL-sourced jobs perform the formal HASH retiming step (theorem-cached
-/// across the whole service) and then discharge the obligation with
-/// `method`; `blif:` jobs go straight to the engine, with the verdict
-/// keyed on the pair's structural netlist hashes (io/blif.h) so repeated
-/// — or warm-started — submissions of the same files hit the cache.
+/// across the whole service); `hash` and `match` answer from it, and an
+/// engine method lowers the job to ONE obligation, the original/retimed
+/// pair.  A `blif:` job lowers to one obligation for the whole pair — or,
+/// under ServiceOptions::incremental, one per output cone — after a check
+/// that both sides have the same input and output counts (a mismatch is
+/// INVALID_REQUEST before any tier runs).  Every obligation then climbs
+/// the same rungs: verdict cache, structural identity, miter fold, sim
+/// refutation, and the engine on a shared-pool batch under the retry
+/// guard.  Verdicts are keyed on the compiled circuits (RTL) or on the
+/// structural netlist / cone hashes (io/blif.h), so repeated — or
+/// warm-started — submissions hit the cache.
 struct JobSpec {
   std::string name;        ///< label in results; defaulted when empty
   std::string circuit;     ///< circuit spec, grammar above
@@ -89,8 +96,9 @@ struct JobResult {
   /// Cone accounting, populated only on the incremental blif-pair path
   /// (ServiceOptions::incremental): the job was decomposed into `cones`
   /// per-output obligations, of which `cone_hits` resolved from the shared
-  /// verdict cache and `cones_reproved` actually ran.  On a NONEQUIV
-  /// verdict, `counterexample` names the first differing primary output.
+  /// verdict cache and `cones_reproved` were re-proved.  On a NONEQUIV
+  /// verdict, `counterexample` names a differing primary output when one
+  /// is known (the first NONEQUIV cone, or the simulator's witness).
   std::size_t cones = 0;
   std::size_t cone_hits = 0;
   std::size_t cones_reproved = 0;
@@ -106,9 +114,10 @@ struct JobResult {
   /// answers, a failure class (TIMEOUT, RESOURCE_EXHAUSTED,
   /// INTERNAL_ERROR, DEADLINE_EXPIRED, INVALID_REQUEST, ...) otherwise.
   VerdictClass verdict = VerdictClass::Unknown;
-  /// Guarded-engine retry accounting: attempts actually made (0 when no
-  /// guarded engine ran — cache hits, hash/match jobs) and the total
-  /// backoff slept between them.
+  /// Guarded-engine retry accounting: the most attempts any obligation
+  /// made (0 when no guarded engine ran — cache hits, obligations a cheap
+  /// tier settled, hash/match jobs) and the total backoff slept between
+  /// them.
   int attempts = 0;
   double backoff_ms = 0.0;
 };
@@ -125,8 +134,8 @@ struct ServiceStats {
   /// failures seen and cache ops served locally during backoff windows.
   std::uint64_t remote_failures = 0;
   std::uint64_t degraded_ops = 0;
-  /// Successful remote exchanges — the batched incremental path's budget
-  /// is <= 2 of these per job (one LookupBatch + one PublishBatch).
+  /// Successful remote exchanges — a blif-pair job's budget is <= 2 of
+  /// these (one LookupBatch + one PublishBatch).
   std::uint64_t remote_round_trips = 0;
 };
 
@@ -141,9 +150,10 @@ struct ServiceStats {
 ///                        semantics on every persist);
 ///   otherwise         -> InProcessBackend (today's behaviour).
 struct CachePolicy {
-  /// Share the caches across jobs.  Off = every job proves its own
-  /// obligations (the serial-loop baseline bench_service measures
-  /// against); off also disables the backend selection above.
+  /// Share the caches across jobs.  Off = every job runs against its own
+  /// empty in-process cache and proves its own obligations (the
+  /// serial-loop baseline bench_service measures against); the backend
+  /// above then only serves load_cache/save_cache.
   bool share = true;
   std::string file;   ///< bound cache file (FileBackend), "" = none
   CacheFileOptions file_options;
@@ -206,17 +216,13 @@ struct ServiceOptions {
   RetryPolicy retry;
   QueuePolicy queue;
   /// Cone-partitioned incremental verification for blif-pair jobs: each
-  /// pair decomposes into one obligation per primary output
-  /// (verify/cone.h), unchanged cones resolve from the persistent verdict
-  /// cache keyed on (cone_hash_a, cone_hash_b, engine, bounds), only
-  /// changed cones run an engine, and the per-cone verdicts are stitched
-  /// back into the whole-design verdict.  Pairs whose output counts differ
-  /// fall back to the whole-netlist path.  RTL jobs are unaffected.
+  /// pair lowers to one obligation per primary output (verify/cone.h)
+  /// instead of one for the whole pair.  Unchanged cones resolve from the
+  /// persistent verdict cache keyed on (cone_hash_a, cone_hash_b, engine,
+  /// bounds), only changed cones reach the tiers and the engine, and the
+  /// per-cone verdicts are stitched back into the whole-design verdict.
+  /// Pairs without outputs stay whole.  RTL jobs are unaffected.
   bool incremental = false;
-  /// Run the incremental path's engine tail on the batched BDD kernel
-  /// (verify/batch_bdd.h): one shared node pool and a lock-step apply loop
-  /// across all surviving cones, instead of one BddManager per cone.
-  bool batch_bdd = true;
 };
 
 /// A long-running multi-circuit verification service: jobs are submitted as
@@ -226,10 +232,11 @@ struct ServiceOptions {
 /// order with per-job status and cache provenance; `stats()` aggregates
 /// cache hit rates and wall/CPU time for the service lifetime.
 ///
-/// Threading model: per-job state (BddManager, explicit state tables) is
-/// confined to the executing thread as in verify/parallel_verify.h; the
-/// cross-job sharing happens in the kernel (interner, memo tables) and in
-/// the service's goal caches, both concurrency-safe.
+/// Threading model: a job's obligations fan out over the same pool the
+/// jobs run on, and its engine tail shares ONE BddManager (check_batch),
+/// confined to the thread that runs it; retries run alone on private
+/// managers.  Cross-job sharing happens in the kernel (interner, memo
+/// tables) and in the service's goal caches, both concurrency-safe.
 class VerifyService {
  public:
   explicit VerifyService(ServiceOptions opts = {});

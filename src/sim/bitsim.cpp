@@ -174,7 +174,7 @@ RefuteResult refute(const GateNetlist& a, const GateNetlist& b,
 
 RefuteResult refute(const verify::ConePair& pair, const SimOptions& opts) {
   RefuteResult r = refute(pair.a, pair.b, opts);
-  if (r.refuted) r.cex.output = pair.output;
+  if (r.refuted && !pair.output.empty()) r.cex.output = pair.output;
   return r;
 }
 

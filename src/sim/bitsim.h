@@ -114,7 +114,8 @@ RefuteResult refute(const circuit::GateNetlist& a,
 
 /// The cone-pair entry point (verify/cone.h): both sides share the parent
 /// PI interface by construction, and the counterexample is labelled with
-/// the pair's parent output name — the spelling stitch_verdicts surfaces.
+/// the pair's parent output name when it has one — the spelling
+/// stitch_verdicts surfaces.
 RefuteResult refute(const verify::ConePair& pair,
                     const SimOptions& opts = {});
 

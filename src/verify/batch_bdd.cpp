@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
+#include "verify/sis_fsm.h"
 #include "verify/symbolic.h"
 
 namespace eda::verify {
@@ -14,24 +15,95 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Per-task traversal state, one record per live BDD job.  The arrays
-/// inside (partitions, dep_targets) plus the scalar frontier/reached pairs
-/// are the structure-of-arrays complement to the shared manager: everything
-/// node-shaped lives in the manager, everything task-shaped lives here.
+/// Per-task traversal state, one record per live BDD job.  Everything
+/// node-shaped lives in the shared manager, everything task-shaped here.
 struct Task {
   const CheckJob* job = nullptr;
+  std::size_t index = 0;  // position in check_batch's input
   Product p;
   std::vector<BddId> partitions;  // TR conjuncts; single entry for smv
-  std::vector<int> dep_targets;   // eijk+: B-side state vars to reduce
+  /// The early-quantification schedule: `last[v]` is the last partition
+  /// mentioning quantified variable v (the first when none does; -1 for
+  /// next-state variables), `quantify_at[k]` the variables that go after
+  /// partition k.
+  std::vector<int> last;
+  std::vector<std::vector<int>> quantify_at;
   BddId reached = 0, frontier = 0;
   bool done = false;
   bool poisoned = false;  // shared pool blew up under this task
   VerifyResult res;
 };
 
-/// One fixpoint iteration for one task — the loop body of eijk_check /
-/// smv_check verbatim, with `res.seconds` accruing only this task's own
-/// step time so batch timeouts mean the same thing as per-job timeouts.
+/// Bucket the quantified variables by the partition they go after,
+/// ascending within each bucket.
+std::vector<std::vector<int>> bucket(const std::vector<int>& last,
+                                     std::size_t parts) {
+  std::vector<std::vector<int>> at(parts);
+  for (std::size_t v = 0; v < last.size() && parts > 0; ++v) {
+    if (last[v] >= 0) {
+      at[static_cast<std::size_t>(last[v])].push_back(static_cast<int>(v));
+    }
+  }
+  return at;
+}
+
+void build_task(BddManager& mgr, Task& t) {
+  t.p = build_product(mgr, *t.job->a, *t.job->b);
+  for (const SymbolicMachine* m : {&t.p.a, &t.p.b}) {
+    for (std::size_t i = 0; i < m->next_fn.size(); ++i) {
+      t.partitions.push_back(mgr.lxnor(mgr.var(m->next_vars[i]),
+                                       m->next_fn[i]));
+    }
+  }
+  if (t.job->engine == Engine::Smv) {
+    BddId tr = mgr.true_bdd();
+    for (BddId conjunct : t.partitions) tr = mgr.land(tr, conjunct);
+    t.partitions = {tr};
+  }
+  t.last.assign(static_cast<std::size_t>(t.p.layout.total()), -1);
+  for (int v : t.p.quantify) t.last[static_cast<std::size_t>(v)] = 0;
+  for (std::size_t k = 0; k < t.partitions.size(); ++k) {
+    for (int v : mgr.support(t.partitions[k])) {
+      int& l = t.last[static_cast<std::size_t>(v)];
+      if (l >= 0) l = static_cast<int>(k);
+    }
+  }
+  t.quantify_at = bucket(t.last, t.partitions.size());
+  t.reached = t.frontier = mgr.land(t.p.a.init, t.p.b.init);
+}
+
+/// Conjoin the frontier with the partitions and then `deps`, in order,
+/// quantifying each variable right after the last conjunct that mentions
+/// it.  Dependency conjuncts go last, so the variables they mention move
+/// behind them; without any, the task's own schedule applies unchanged.
+BddId image(BddManager& mgr, const Task& t, BddId frontier,
+            const std::vector<BddId>& deps) {
+  std::vector<std::vector<int>> moved;
+  if (!deps.empty()) {
+    std::vector<int> last = t.last;
+    for (std::size_t j = 0; j < deps.size(); ++j) {
+      for (int v : mgr.support(deps[j])) {
+        int& l = last[static_cast<std::size_t>(v)];
+        if (l >= 0) l = static_cast<int>(t.partitions.size() + j);
+      }
+    }
+    moved = bucket(last, t.partitions.size() + deps.size());
+  }
+  const std::vector<std::vector<int>>& at =
+      deps.empty() ? t.quantify_at : moved;
+  const std::size_t np = t.partitions.size();
+  BddId acc = frontier;
+  for (std::size_t k = 0; k < at.size(); ++k) {
+    BddId part = k < np ? t.partitions[k] : deps[k - np];
+    acc = at[k].empty() ? mgr.land(acc, part)
+                        : mgr.and_exists(acc, part, at[k]);
+  }
+  return acc;
+}
+
+/// One fixpoint iteration for one task, with `res.seconds` accruing only
+/// this task's own step time so batch timeouts mean the same thing as
+/// per-job timeouts.
 void step_task(BddManager& mgr, Task& t) {
   Clock::time_point tick = Clock::now();
   auto charge = [&] {
@@ -46,29 +118,25 @@ void step_task(BddManager& mgr, Task& t) {
     return;
   }
 
-  BddId img_frontier = t.frontier;
-  std::vector<BddId> parts = t.partitions;
+  BddId frontier = t.frontier;
+  std::vector<BddId> deps;
   if (t.job->engine == Engine::EijkPlus) {
-    // Functional-dependency reduction, as in eijk_check: a state variable
-    // whose on/off projections are disjoint on the frontier is a function
-    // of the rest; image in the reduced space with the dependency as an
-    // extra partition.
-    for (int v : mgr.support(img_frontier)) {
-      if (std::find(t.dep_targets.begin(), t.dep_targets.end(), v) ==
-          t.dep_targets.end()) {
-        continue;
-      }
-      BddId on = mgr.exists(mgr.land(img_frontier, mgr.var(v)), {v});
-      BddId off = mgr.exists(mgr.land(img_frontier, mgr.nvar(v)), {v});
+    // A B-side state variable whose on/off projections are disjoint on
+    // the frontier is a function of the rest: image in the reduced space
+    // with the dependency as an extra conjunct.
+    const ProductLayout& L = t.p.layout;
+    for (int v : mgr.support(frontier)) {
+      if (v < L.b_state(0) || (v - L.ni) % 2 != 0) continue;
+      BddId on = mgr.exists(mgr.land(frontier, mgr.var(v)), {v});
+      BddId off = mgr.exists(mgr.land(frontier, mgr.nvar(v)), {v});
       if (mgr.land(on, off) == mgr.false_bdd()) {
-        parts.push_back(mgr.lxnor(mgr.var(v), on));
-        img_frontier = mgr.exists(img_frontier, {v});
+        deps.push_back(mgr.lxnor(mgr.var(v), on));
+        frontier = mgr.exists(frontier, {v});
       }
     }
   }
 
-  BddId img = partitioned_image(mgr, img_frontier, parts, t.p.quantify);
-  img = mgr.rename(img, t.p.next_to_present);
+  BddId img = mgr.rename(image(mgr, t, frontier, deps), t.p.next_to_present);
   BddId next_reached = mgr.lor(t.reached, img);
   if (next_reached == t.reached) {
     t.res.peak = std::max(t.res.peak, mgr.node_table_size());
@@ -88,66 +156,36 @@ void step_task(BddManager& mgr, Task& t) {
 
 std::vector<VerifyResult> check_batch(const std::vector<CheckJob>& jobs) {
   std::vector<VerifyResult> out(jobs.size());
-  std::vector<std::size_t> bdd_jobs;
+  std::vector<Task> tasks;
   int vars = 1;
   std::size_t max_limit = 0, sum_limit = 0;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (jobs[i].engine == Engine::SisFsm) {
-      out[i] = run_check(jobs[i]);  // explicit-state: nothing to share
+    const CheckJob& job = jobs[i];
+    if (job.engine == Engine::SisFsm) {
+      out[i] = sis_fsm_check(*job.a, *job.b, job.opts);
       continue;
     }
-    vars = std::max(vars, product_var_count(*jobs[i].a, *jobs[i].b));
-    max_limit = std::max(max_limit, jobs[i].opts.node_limit);
-    sum_limit += jobs[i].opts.node_limit;
-    bdd_jobs.push_back(i);
+    vars = std::max(vars, product_var_count(*job.a, *job.b));
+    max_limit = std::max(max_limit, job.opts.node_limit);
+    sum_limit += job.opts.node_limit;
+    tasks.emplace_back();
+    tasks.back().job = &job;
+    tasks.back().index = i;
   }
-  if (bdd_jobs.empty()) return out;
+  if (tasks.empty()) return out;
   // The pool holds every task's nodes at once (the manager never frees),
   // so one job's limit is far too small a budget for a big batch: size it
-  // to the whole batch's aggregate budget, capped at 8x the largest job —
-  // comparable to what the per-job path's concurrent managers could have
-  // allocated in aggregate.  Tasks the capped pool still can't finish are
-  // re-run per-job below, so the cap costs performance, never verdicts.
-  std::size_t node_limit = std::min(sum_limit, 8 * max_limit);
-
-  // Tasks reuse the same variable indices (every product machine numbers
-  // its variables from 0), which is what makes the shared pool pay:
-  // identical logic in different cones interns to identical nodes.
-  BddManager mgr(vars, node_limit);
-  std::vector<Task> tasks(bdd_jobs.size());
-  for (std::size_t k = 0; k < bdd_jobs.size(); ++k) {
-    Task& t = tasks[k];
-    t.job = &jobs[bdd_jobs[k]];
+  // to the whole batch's aggregate budget, capped at 8x the largest job.
+  // Tasks the capped pool still can't finish are re-run alone below, so
+  // the cap costs performance, never verdicts.  Tasks reuse the same
+  // variable indices (every product machine numbers its variables from
+  // 0), which is what makes the shared pool pay: identical logic in
+  // different cones interns to identical nodes.
+  BddManager mgr(vars, std::min(sum_limit, 8 * max_limit));
+  for (Task& t : tasks) {
     Clock::time_point tick = Clock::now();
     try {
-      t.p = build_product(mgr, *t.job->a, *t.job->b);
-      if (t.job->engine == Engine::Smv) {
-        BddId tr = mgr.true_bdd();
-        for (std::size_t i = 0; i < t.p.a.next_fn.size(); ++i) {
-          tr = mgr.land(tr,
-                        mgr.lxnor(mgr.var(t.p.a.next_vars[i]),
-                                  t.p.a.next_fn[i]));
-        }
-        for (std::size_t i = 0; i < t.p.b.next_fn.size(); ++i) {
-          tr = mgr.land(tr,
-                        mgr.lxnor(mgr.var(t.p.b.next_vars[i]),
-                                  t.p.b.next_fn[i]));
-        }
-        t.partitions.push_back(tr);
-      } else {
-        for (std::size_t i = 0; i < t.p.a.next_fn.size(); ++i) {
-          t.partitions.push_back(mgr.lxnor(mgr.var(t.p.a.next_vars[i]),
-                                           t.p.a.next_fn[i]));
-        }
-        for (std::size_t i = 0; i < t.p.b.next_fn.size(); ++i) {
-          t.partitions.push_back(mgr.lxnor(mgr.var(t.p.b.next_vars[i]),
-                                           t.p.b.next_fn[i]));
-        }
-      }
-      for (int i = 0; i < t.p.layout.nb; ++i) {
-        t.dep_targets.push_back(t.p.layout.b_state(i));
-      }
-      t.reached = t.frontier = mgr.land(t.p.a.init, t.p.b.init);
+      build_task(mgr, t);
     } catch (const bdd::BddError&) {
       t.done = true;  // interface mismatch or pool blowup during build
       t.poisoned = true;
@@ -157,9 +195,8 @@ std::vector<VerifyResult> check_batch(const std::vector<CheckJob>& jobs) {
         std::chrono::duration<double>(Clock::now() - tick).count();
   }
 
-  // Unified lock-step loop: round-robin one image step per live task per
-  // round.  Short tasks retire early and stop paying; long tasks keep the
-  // warmed apply cache.
+  // Round-robin one image step per live task per round.  Short tasks
+  // retire early and stop paying; long tasks keep the warmed apply cache.
   bool any_live = true;
   while (any_live) {
     any_live = false;
@@ -168,8 +205,7 @@ std::vector<VerifyResult> check_batch(const std::vector<CheckJob>& jobs) {
       try {
         step_task(mgr, t);
       } catch (const bdd::BddError&) {
-        // The shared pool is over its limit: stop batching this task and
-        // remember to re-run it on its own manager below.
+        // The pool is over its limit: stop stepping this task.
         t.done = true;
         t.poisoned = true;
         t.res.failure = FailureKind::ResourceExhausted;
@@ -177,24 +213,16 @@ std::vector<VerifyResult> check_batch(const std::vector<CheckJob>& jobs) {
       if (!t.done) any_live = true;
     }
   }
-  // Per-job fallback for pool casualties: a task the SHARED pool starved
-  // gets the same private manager and private node budget the non-batched
-  // path would have given it, so batching never changes a verdict — a
-  // task that fails here fails identically per-job.  (Timeout/limit
-  // failures of the task's own making keep their incomplete result.)
   for (Task& t : tasks) {
-    if (!t.poisoned || t.res.completed) continue;
-    double spent = t.res.seconds;
-    try {
-      t.res = run_check(*t.job);
-    } catch (const bdd::BddError&) {
-      // Same failure on a private pool: genuinely incomplete.
-      t.res.failure = FailureKind::ResourceExhausted;
+    // A task the SHARED pool starved gets a private pool and its own node
+    // budget, as a batch of one.  Alone, the pool already was its own, so
+    // the failure stands.
+    if (t.poisoned && tasks.size() > 1) {
+      double spent = t.res.seconds;
+      t.res = check_batch({*t.job}).front();
+      t.res.seconds += spent;
     }
-    t.res.seconds += spent;
-  }
-  for (std::size_t k = 0; k < bdd_jobs.size(); ++k) {
-    out[bdd_jobs[k]] = tasks[k].res;
+    out[t.index] = t.res;
   }
   return out;
 }

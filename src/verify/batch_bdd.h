@@ -6,28 +6,37 @@
 
 namespace eda::verify {
 
-/// Batched BDD traversal: advance many independent equivalence obligations
-/// together through ONE shared BddManager instead of one manager per job.
+/// The symbolic traversal: advance many independent equivalence
+/// obligations together through ONE shared BddManager.  run_check sends a
+/// single job here as a batch of one, so this is the only image loop the
+/// Eijk, Eijk+ and SMV columns run.
 ///
-/// The shared unique/ite tables are the point — cones split off the same
-/// design share most of their logic, so their product machines build
-/// largely identical BDDs; in a shared pool those collapse to the same
-/// nodes and the apply cache warms across jobs.  Per-job state lives in
-/// structure-of-arrays task records (reached/frontier/partitions/result),
-/// and a unified lock-step loop gives every live task one image step per
-/// round, so no single blow-up-prone job starves the rest of progress.
+/// Per engine, breadth-first reachability over the product machine from
+/// the initial state pair, then a check that no reached state can make
+/// the outputs differ:
+///   smv    one monolithic transition relation (SMV's formulation);
+///   eijk   one conjunct per next-state bit with early quantification —
+///          each variable is quantified right after the last conjunct
+///          that mentions it (van Eijk's partitioned traversal);
+///   eijk+  eijk plus functional-dependency reduction (van Eijk & Jess,
+///          ED&TC'97): a B-side state variable that is a function of the
+///          others on the frontier — the situation after retiming — is
+///          quantified away and its dependency conjoined last.
+/// Each task computes its quantification schedule once, when its
+/// partitions are built.
 ///
-/// Verdict semantics are identical to run_check per job: the traversal per
-/// task is the same partitioned-image (eijk), dependency-reduced (eijk+)
-/// or monolithic-relation (smv) fixpoint, just interleaved.  Per-task
-/// timeouts are measured on time actually spent inside that task's steps.
-/// The pool's node budget is the batch's aggregate per-job budget (capped
-/// at 8x the largest single job — the manager never frees, so the pool
-/// must hold every task's nodes at once); if it still blows up, the
-/// starved tasks are transparently re-run on private managers with their
-/// own per-job limits, so batching can cost time but never changes a
-/// verdict.  SisFsm jobs are explicit-state, have nothing to share, and
-/// are dispatched straight to run_check.
+/// The shared unique/ite tables are the point of batching: cones split
+/// off the same design build largely identical BDDs, which collapse to
+/// the same nodes, and the apply cache warms across jobs.  A lock-step
+/// loop gives every live task one image step per round, so no single
+/// blow-up-prone job starves the rest.  Per-task timeouts are measured on
+/// time spent inside that task's own steps.  The pool's node budget is
+/// the batch's aggregate per-job budget (capped at 8x the largest single
+/// job — the manager never frees, so the pool must hold every task's
+/// nodes at once); tasks the shared pool starves are re-run as batches of
+/// one under their own limits, so batching can cost time but never
+/// changes a verdict.  SisFsm jobs are explicit-state, have nothing to
+/// share, and run sis_fsm_check directly.
 std::vector<VerifyResult> check_batch(const std::vector<CheckJob>& jobs);
 
 }  // namespace eda::verify

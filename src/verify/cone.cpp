@@ -4,9 +4,6 @@
 #include <tuple>
 #include <utility>
 
-#include "kernel/parallel.h"
-#include "verify/batch_bdd.h"
-
 namespace eda::verify {
 
 using circuit::GateNetlist;
@@ -17,10 +14,9 @@ using circuit::LitId;
 namespace {
 
 /// Exact structural identity of two netlists (op/fan-in/init graphs plus
-/// the input/dff/output wiring, names ignored).  Both sides of a ConePair
-/// are canonical extract_cones netlists, so equal cones are equal
-/// node-for-node — this is the exact check behind the hash equality, not
-/// a probabilistic one.
+/// the input/dff/output wiring, names ignored).  Cone sides are canonical
+/// extract_cones netlists, so equal cones are equal node-for-node — this
+/// is the exact check behind the hash equality, not a probabilistic one.
 bool structurally_identical(const GateNetlist& a, const GateNetlist& b) {
   if (a.nodes().size() != b.nodes().size() ||
       a.inputs() != b.inputs() || a.dffs() != b.dffs() ||
@@ -202,7 +198,7 @@ std::optional<VerifyResult> check_cone_fast(const ConeJob& job,
                                             std::uint64_t* sim_spent) {
   const ConePair& p = *job.pair;
   if (sim_spent != nullptr) *sim_spent = 0;
-  // Tier 1: byte-identical canonical cones — equal graphs compute equal
+  // Tier 1: structurally identical sides — equal graphs compute equal
   // functions; no engine, no miter.
   if (structurally_identical(p.a, p.b)) {
     VerifyResult v;
@@ -242,61 +238,11 @@ std::optional<VerifyResult> check_cone_fast(const ConeJob& job,
   return std::nullopt;
 }
 
-VerifyResult check_cone(const ConeJob& job) {
-  std::uint64_t spent = 0;
-  if (std::optional<VerifyResult> v = check_cone_fast(job, &spent)) {
-    return *v;
-  }
-  // Tier 4: the requested engine on the pair.
-  VerifyResult v = run_check({&job.pair->a, &job.pair->b, job.engine,
-                              job.opts});
-  v.sim_vectors = spent;  // the pre-filter's spend rides on the verdict
-  return v;
-}
-
-std::vector<VerifyResult> check_cones_parallel(
-    const std::vector<ConeJob>& jobs) {
-  return kernel::parallel_map(
-      jobs, [](const ConeJob& job) { return check_cone(job); });
-}
-
-std::vector<VerifyResult> check_cones_batched(
-    const std::vector<ConeJob>& jobs) {
-  struct Fast {
-    std::optional<VerifyResult> verdict;
-    std::uint64_t sim_spent = 0;
-  };
-  // The cheap tiers are embarrassingly parallel; fan them out first.
-  std::vector<Fast> fast = kernel::parallel_map(jobs, [](const ConeJob& j) {
-    Fast f;
-    f.verdict = check_cone_fast(j, &f.sim_spent);
-    return f;
-  });
-  std::vector<VerifyResult> out(jobs.size());
-  std::vector<std::size_t> survivors;
-  std::vector<CheckJob> engine_jobs;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (fast[i].verdict) {
-      out[i] = *fast[i].verdict;
-    } else {
-      survivors.push_back(i);
-      engine_jobs.push_back(
-          {&jobs[i].pair->a, &jobs[i].pair->b, jobs[i].engine, jobs[i].opts});
-    }
-  }
-  // The EQUIV-heavy tail runs on the shared-pool lock-step kernel.
-  std::vector<VerifyResult> proved = check_batch(engine_jobs);
-  for (std::size_t k = 0; k < survivors.size(); ++k) {
-    proved[k].sim_vectors = fast[survivors[k]].sim_spent;
-    out[survivors[k]] = proved[k];
-  }
-  return out;
-}
-
 StitchedVerdict stitch_verdicts(const std::vector<ConeVerdict>& cones) {
   StitchedVerdict s;
   s.cones = cones.size();
   s.completed = true;
+  bool nonequiv = false;
   for (const ConeVerdict& c : cones) {
     if (c.cache_hit) {
       ++s.hits;
@@ -305,19 +251,15 @@ StitchedVerdict stitch_verdicts(const std::vector<ConeVerdict>& cones) {
     }
     if (c.result.sim_refuted) ++s.sim_refuted;
     s.sim_vectors += c.result.sim_vectors;
-    if (c.result.completed && !c.result.equivalent &&
-        s.counterexample.empty()) {
-      s.counterexample = c.output;
+    if (c.result.completed && !c.result.equivalent && !nonequiv) {
+      nonequiv = true;
+      s.counterexample = c.output.empty() ? c.result.counterexample : c.output;
     }
     if (!c.result.completed) s.completed = false;
   }
-  if (!s.counterexample.empty()) {
-    // NONEQUIV short-circuit: one differing output settles the design.
-    s.completed = true;
-    s.equivalent = false;
-  } else {
-    s.equivalent = s.completed;  // all cones completed EQUIV (or vacuous)
-  }
+  // NONEQUIV short-circuit: one differing output settles the design.
+  if (nonequiv) s.completed = true;
+  s.equivalent = s.completed && !nonequiv;
   return s;
 }
 

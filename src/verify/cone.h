@@ -22,7 +22,8 @@ class ConeError : public kernel::KernelError {
 /// question "do A and B agree on every output?" decomposes exactly into
 /// one such pair per output — each output's behaviour is a function of its
 /// cone alone — so per-pair verdicts stitch back losslessly
-/// (stitch_verdicts below).
+/// (stitch_verdicts below).  A whole-netlist obligation is the same
+/// record with an empty label.
 struct ConePair {
   std::string output;  ///< A-side output name (labels counterexamples)
   std::uint64_t hash_a = 0, hash_b = 0;  ///< canonical cone digests
@@ -32,51 +33,29 @@ struct ConePair {
 /// Decompose both netlists (io::extract_cones) and pair the cones by
 /// output position — the same matching the engines apply to whole
 /// netlists.  Throws ConeError when the output counts differ (no
-/// positional pairing exists; the caller should fall back to a
-/// whole-netlist check, which diagnoses the interface mismatch).
+/// positional pairing exists).
 std::vector<ConePair> pair_cones(const circuit::GateNetlist& a,
                                  const circuit::GateNetlist& b);
 
-/// One schedulable unit for the pool: prove a single cone pair with an
-/// engine under resource bounds.  `use_sim` inserts the bit-parallel
-/// simulation pre-filter (sim/bitsim.h) between the miter fold and the
-/// engine call — refuting most NONEQUIV pairs in microseconds.
+/// The engine-free tiers' view of one obligation: the pair, plus whether
+/// and how to run the bit-parallel simulation pre-filter (sim/bitsim.h).
 struct ConeJob {
   const ConePair* pair = nullptr;
-  Engine engine = Engine::Eijk;
-  VerifyOptions opts;
   bool use_sim = true;
   sim::SimOptions sim;
 };
 
-/// Prove one cone pair, cheapest evidence first:
-///   tier 1  byte-identical canonical cones — free EQUIV;
+/// Try to settle one pair without an engine, cheapest evidence first:
+///   tier 1  structurally identical sides — free EQUIV;
 ///   tier 2  the hash-consed miter folds to a constant — free verdict;
 ///   tier 3  bit-parallel random simulation refutes the pair (use_sim) —
-///           microsecond NONEQUIV with a concrete counterexample;
-///   tier 4  the requested engine.
-VerifyResult check_cone(const ConeJob& job);
-
-/// Tiers 1-3 only: the engine-free fast path, shared by check_cone and
-/// the service's batched pipeline.  nullopt means the cheap tiers could
-/// not settle the pair and an engine must run; `sim_spent`, when given,
-/// receives the stimulus the pre-filter burned on the pass-through so the
-/// engine verdict can still account for it.
+///           microsecond NONEQUIV with a concrete counterexample.
+/// nullopt means an engine must run (tier 4, check_batch); `sim_spent`,
+/// when given, receives the stimulus the pre-filter burned on the
+/// pass-through so the engine verdict can still account for it.  Throws
+/// ConeError when the sides' interfaces differ.
 std::optional<VerifyResult> check_cone_fast(
     const ConeJob& job, std::uint64_t* sim_spent = nullptr);
-
-/// Independent cone obligations fanned across the global pool, results in
-/// input order — check_parallel, one level finer-grained.
-std::vector<VerifyResult> check_cones_parallel(
-    const std::vector<ConeJob>& jobs);
-
-/// As check_cones_parallel, but the jobs that survive the cheap tiers run
-/// on the batched BDD kernel (verify/batch_bdd.h): one shared node pool
-/// and a unified lock-step apply loop across the whole EQUIV tail, instead
-/// of one BddManager per cone.  Verdicts are identical to the per-job
-/// path; the sharing only amortises allocation and cache traffic.
-std::vector<VerifyResult> check_cones_batched(
-    const std::vector<ConeJob>& jobs);
 
 /// Build the miter of two netlists sharing their primary inputs: a
 /// single-output netlist whose output is OR over outputs of
@@ -85,38 +64,42 @@ std::vector<VerifyResult> check_cones_batched(
 /// double-negation/absorption rules), so logic the two sides share — the
 /// common case when B is a small edit of A — is built ONCE and feeds both
 /// sides' outputs; combinationally equal sides fold the miter output all
-/// the way to a constant 0, which check_cone turns into an engine-free
+/// the way to a constant 0, which check_cone_fast turns into an engine-free
 /// verdict.  Flip-flops are per-side (register correspondence across
 /// sides is the engines' job, not the builder's).  Throws ConeError on an
-/// input-count mismatch.
+/// interface mismatch.
 circuit::GateNetlist build_miter(const circuit::GateNetlist& a,
                                  const circuit::GateNetlist& b);
 
 /// True when the miter's output literal folded to the given constant.
 bool miter_output_is_const(const circuit::GateNetlist& miter, bool value);
 
-/// Per-cone verdict plus its cache provenance, ready for stitching.
+/// Per-obligation verdict plus its cache provenance, ready for stitching.
+/// `output` labels the obligation (a cone's parent output name; empty for
+/// a whole-netlist obligation).
 struct ConeVerdict {
   std::string output;
   VerifyResult result;
   bool cache_hit = false;
 };
 
-/// The whole-design verdict reassembled from per-cone verdicts, with
-/// honest accounting: a design is EQUIV iff every cone completed EQUIV;
-/// any completed NONEQUIV cone short-circuits the whole design to a
-/// completed NONEQUIV verdict (one differing output disproves equivalence
-/// regardless of cones still unresolved), with `counterexample` naming
-/// the first such output; otherwise an incomplete cone leaves the design
-/// incomplete.
+/// The whole-design verdict reassembled from per-obligation verdicts, with
+/// honest accounting: a design is EQUIV iff every obligation completed
+/// EQUIV; any completed NONEQUIV obligation short-circuits the whole
+/// design to a completed NONEQUIV verdict (one differing output disproves
+/// equivalence regardless of obligations still unresolved); otherwise an
+/// incomplete obligation leaves the design incomplete.  The
+/// counterexample comes from the first NONEQUIV obligation: its label when
+/// it has one (a cached cone verdict may carry another design's output
+/// name), else its result's own counterexample.
 struct StitchedVerdict {
   bool completed = false;
   bool equivalent = false;
-  std::string counterexample;  ///< first NONEQUIV cone's output name
+  std::string counterexample;  ///< first NONEQUIV obligation's output
   std::size_t cones = 0;
-  std::size_t hits = 0;      ///< cones served from a verdict cache
-  std::size_t reproved = 0;  ///< cones that had to be re-proved
-  std::size_t sim_refuted = 0;       ///< cones settled by the sim tier
+  std::size_t hits = 0;      ///< obligations served from a verdict cache
+  std::size_t reproved = 0;  ///< obligations that had to be re-proved
+  std::size_t sim_refuted = 0;       ///< settled by the sim tier
   std::uint64_t sim_vectors = 0;     ///< total pre-filter stimulus spent
 };
 

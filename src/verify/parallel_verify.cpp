@@ -1,6 +1,7 @@
 #include "verify/parallel_verify.h"
 
 #include "kernel/parallel.h"
+#include "verify/batch_bdd.h"
 
 namespace eda::verify {
 
@@ -27,17 +28,7 @@ std::optional<Engine> parse_engine(const std::string& name) {
 }
 
 VerifyResult run_check(const CheckJob& job) {
-  switch (job.engine) {
-    case Engine::Eijk:
-      return eijk_check(*job.a, *job.b, job.opts, false);
-    case Engine::EijkPlus:
-      return eijk_check(*job.a, *job.b, job.opts, true);
-    case Engine::Smv:
-      return smv_check(*job.a, *job.b, job.opts);
-    case Engine::SisFsm:
-      return sis_fsm_check(*job.a, *job.b, job.opts);
-  }
-  return {};  // unreachable
+  return check_batch({job}).front();
 }
 
 std::vector<VerifyResult> check_parallel(const std::vector<CheckJob>& jobs) {

@@ -4,10 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "circuit/bitblast.h"
 #include "verify/common.h"
-#include "verify/eijk.h"
-#include "verify/sis_fsm.h"
-#include "verify/smv_mc.h"
 
 namespace eda::verify {
 
@@ -30,18 +28,18 @@ struct CheckJob {
   VerifyOptions opts;
 };
 
-/// Run one job (dispatch on `engine`).
+/// Run one job: the symbolic engines as a batch of one through
+/// check_batch (verify/batch_bdd.h), SisFsm through sis_fsm_check.
 VerifyResult run_check(const CheckJob& job);
 
 /// Run independent obligations concurrently on the global thread pool,
 /// results in input order.
 ///
-/// Threading model: every job builds its own BddManager / explicit state
-/// table, so the symbolic engines stay confined to the thread executing
-/// the job — confinement, not sharing, is the BDD layer's concurrency
-/// story (one manager's tables are useless to a differently-numbered
-/// product machine anyway).  Cross-job sharing happens one layer down, in
-/// the kernel's concurrent interner and the hash layer's memo tables.
+/// Threading model: a BddManager is confined to the thread that runs its
+/// check_batch call — here one per job, on the service's engine tail one
+/// shared pool per job's batch of obligations.  Managers are never shared
+/// across threads; cross-job sharing happens in the kernel's concurrent
+/// interner and the hash layer's memo tables.
 std::vector<VerifyResult> check_parallel(const std::vector<CheckJob>& jobs);
 
 }  // namespace eda::verify

@@ -1,8 +1,5 @@
 #include "verify/symbolic.h"
 
-#include <map>
-#include <set>
-
 namespace eda::verify {
 
 using bdd::BddId;
@@ -127,41 +124,6 @@ bool combinational_equivalent(const GateNetlist& a, const GateNetlist& b) {
     if (ma.outputs[k] != mb.outputs[k]) return false;
   }
   return true;
-}
-
-BddId partitioned_image(BddManager& mgr, BddId frontier,
-                        const std::vector<BddId>& partitions,
-                        const std::vector<int>& quantify) {
-  std::set<int> qset(quantify.begin(), quantify.end());
-  // Last partition index mentioning each quantified variable (frontier is
-  // partition -1).
-  std::map<int, std::size_t> last;
-  for (int v : quantify) last[v] = 0;
-  for (std::size_t k = 0; k < partitions.size(); ++k) {
-    for (int v : mgr.support(partitions[k])) {
-      if (qset.count(v) > 0) last[v] = k;
-    }
-  }
-  BddId acc = frontier;
-  for (std::size_t k = 0; k < partitions.size(); ++k) {
-    std::vector<int> now;
-    for (const auto& [v, kk] : last) {
-      if (kk == k) now.push_back(v);
-    }
-    if (now.empty()) {
-      acc = mgr.land(acc, partitions[k]);
-    } else {
-      acc = mgr.and_exists(acc, partitions[k], now);
-    }
-  }
-  // Variables mentioned by no partition (e.g. quantified inputs unused by
-  // any next function) may remain in the frontier.
-  std::vector<int> rest;
-  for (int v : mgr.support(acc)) {
-    if (qset.count(v) > 0) rest.push_back(v);
-  }
-  if (!rest.empty()) acc = mgr.exists(acc, rest);
-  return acc;
 }
 
 }  // namespace eda::verify

@@ -52,14 +52,6 @@ struct Product {
 Product build_product(bdd::BddManager& mgr, const circuit::GateNetlist& a,
                       const circuit::GateNetlist& b);
 
-/// Early-quantification image step shared by the van Eijk traversal and
-/// the batched BDD kernel: conjoin the transition-relation partitions in
-/// order, existentially quantifying each variable right after the last
-/// partition that mentions it.
-bdd::BddId partitioned_image(bdd::BddManager& mgr, bdd::BddId frontier,
-                             const std::vector<bdd::BddId>& partitions,
-                             const std::vector<int>& quantify);
-
 /// Combinational tautology / equivalence checking (the paper's section II
 /// baseline for pure combinational circuits): two netlists with identical
 /// input counts; compares each output BDD.

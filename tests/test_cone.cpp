@@ -1,11 +1,12 @@
 // Tests for the cone-partitioned verification layer: extraction
 // co-simulation, the mutation helpers' known semantics, the hash-consing
-// miter builder's short-circuits, parallel cone checking, and the
+// miter builder's short-circuits, the engine-free tiers, and the
 // verdict-stitching rules.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "circuit/bitblast.h"
@@ -44,6 +45,12 @@ bool outputs_agree(const GateNetlist& a, std::size_t idx_a,
     if (sa.step(in)[idx_a] != sb.step(in)[idx_b]) return false;
   }
   return true;
+}
+
+std::optional<v::VerifyResult> fast_tiers(const v::ConePair& pair) {
+  v::ConeJob job;
+  job.pair = &pair;
+  return v::check_cone_fast(job);
 }
 
 }  // namespace
@@ -180,30 +187,27 @@ TEST(CheckCone, ShortCircuitsAndEngineVerdicts) {
   v::VerifyOptions opts;
   opts.timeout_sec = 30.0;
 
-  std::vector<v::ConePair> eq_pairs = v::pair_cones(a, eq);
-  std::vector<v::ConeJob> jobs;
-  for (const v::ConePair& p : eq_pairs) {
-    v::ConeJob j;
-    j.pair = &p;
-    j.opts = opts;
-    jobs.push_back(j);
-  }
   // Cone 1 is untouched (identity short-circuit), cone 0 needs the engine
   // (the absorption redundancy defeats the miter folding).
-  std::vector<v::VerifyResult> res = v::check_cones_parallel(jobs);
-  ASSERT_EQ(res.size(), 2u);
-  for (const v::VerifyResult& r : res) {
-    EXPECT_TRUE(r.completed);
-    EXPECT_TRUE(r.equivalent);
-  }
+  std::vector<v::ConePair> eq_pairs = v::pair_cones(a, eq);
+  ASSERT_EQ(eq_pairs.size(), 2u);
+  std::optional<v::VerifyResult> same = fast_tiers(eq_pairs[1]);
+  ASSERT_TRUE(same.has_value());
+  EXPECT_TRUE(same->completed);
+  EXPECT_TRUE(same->equivalent);
+  EXPECT_FALSE(fast_tiers(eq_pairs[0]).has_value());
+  v::CheckJob engine_job{&eq_pairs[0].a, &eq_pairs[0].b, v::Engine::Eijk, opts};
+  v::VerifyResult proved = v::run_check(engine_job);
+  EXPECT_TRUE(proved.completed);
+  EXPECT_TRUE(proved.equivalent);
 
   std::vector<v::ConePair> ne_pairs = v::pair_cones(a, ne);
-  v::ConeJob ne_job;
-  ne_job.pair = &ne_pairs[0];
-  ne_job.opts = opts;
-  v::VerifyResult bad = v::check_cone(ne_job);
-  EXPECT_TRUE(bad.completed);
-  EXPECT_FALSE(bad.equivalent);
+  std::optional<v::VerifyResult> bad = fast_tiers(ne_pairs[0]);
+  if (!bad) {
+    bad = v::run_check({&ne_pairs[0].a, &ne_pairs[0].b, v::Engine::Eijk, opts});
+  }
+  EXPECT_TRUE(bad->completed);
+  EXPECT_FALSE(bad->equivalent);
 }
 
 TEST(Stitch, AllEquivalentConesMakeTheDesignEquivalent) {
@@ -231,6 +235,22 @@ TEST(Stitch, NonequivDominatesEvenOverIncompleteCones) {
   EXPECT_TRUE(s.completed);  // one differing output settles the design
   EXPECT_FALSE(s.equivalent);
   EXPECT_EQ(s.counterexample, "out1");
+
+  // An unlabelled obligation (a whole netlist) is NONEQUIV all the same,
+  // named by its result when the result knows the output.
+  v::ConeVerdict eq{"out0", {}, false};
+  eq.result.completed = true;
+  eq.result.equivalent = true;
+  v::ConeVerdict unlabelled{"", neq.result, false};
+  s = v::stitch_verdicts({eq, unlabelled});
+  EXPECT_TRUE(s.completed);
+  EXPECT_FALSE(s.equivalent);
+  EXPECT_TRUE(s.counterexample.empty());
+  unlabelled.result.counterexample = "y3";
+  EXPECT_EQ(v::stitch_verdicts({eq, unlabelled}).counterexample, "y3");
+  // A label wins: a cached cone verdict may carry another design's name.
+  neq.result.counterexample = "elsewhere";
+  EXPECT_EQ(v::stitch_verdicts({eq, neq}).counterexample, "out1");
 }
 
 TEST(Stitch, IncompleteConeLeavesTheDesignIncomplete) {

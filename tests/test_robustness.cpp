@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "bdd/bdd.h"
+#include "io/blif.h"
 #include "kernel/terms.h"
 #include "kernel/thm.h"
 #include "service/admission.h"
@@ -25,6 +26,7 @@
 #include "service/fault.h"
 #include "service/guard.h"
 #include "service/verify_service.h"
+#include "testlib/gen.h"
 #include "verify/common.h"
 
 namespace k = eda::kernel;
@@ -289,6 +291,61 @@ TEST_F(FaultTest, ServiceReportsClassifiedVerdictWithRetryAccounting) {
   EXPECT_EQ(r.attempts, 2);  // bounded by max_retries, and accounted
   EXPECT_GT(r.backoff_ms, 0.0);
   EXPECT_TRUE(svc::verdict_is_failure(r.verdict));
+}
+
+namespace {
+
+/// Arm `faults`, then run one incremental blif-pair job whose cone 0
+/// carries an opaque equivalent edit (it defeats the miter fold and the
+/// simulator, so it must reach the engine) while the other two cones are
+/// untouched; max_retries 1.
+svc::JobResult run_opaque_cone_job(const std::string& faults) {
+  eda::circuit::GateNetlist a =
+      eda::testlib::random_netlist_multi(61, 4, 40, 2, 3);
+  eda::circuit::GateNetlist b = eda::testlib::mutate_cone(
+      a, 0, eda::testlib::ConeEdit::EquivalentOpaque);
+  std::string pa = temp_path("fault_inc_a.blif");
+  std::string pb = temp_path("fault_inc_b.blif");
+  std::ofstream(pa) << eda::io::write_blif(a, "a");
+  std::ofstream(pb) << eda::io::write_blif(b, "b");
+  svc::FaultInjector::instance().configure(faults);
+  svc::ServiceOptions opts;
+  opts.jobs = 1;
+  opts.incremental = true;
+  opts.retry.max_retries = 1;
+  opts.retry.really_sleep = false;
+  svc::VerifyService service(opts);
+  std::string spec = "blif:" + pa + "," + pb;
+  svc::JobResult r = service.run_one(job(spec, svc::Method::Eijk));
+  std::remove(pa.c_str());
+  std::remove(pb.c_str());
+  return r;
+}
+
+}  // namespace
+
+TEST_F(FaultTest, EngineFaultsReachIncrementalObligations) {
+  // The cone that survives the cheap tiers runs under the retry guard like
+  // any other obligation: its batch result is the first attempt, and the
+  // injected pool failures exhaust the retry budget.
+  svc::JobResult r = run_opaque_cone_job("seed=1,rate=1.0,sites=engine_bdd");
+  EXPECT_TRUE(r.ok) << r.error;
+  EXPECT_FALSE(r.completed);
+  EXPECT_EQ(r.verdict, svc::VerdictClass::ResourceExhausted);
+  EXPECT_EQ(r.attempts, 2);
+  EXPECT_EQ(r.cones, 3u);
+}
+
+TEST_F(FaultTest, BatchedPoolFailureDegradesToSoloRuns) {
+  // The shared-pool batch fails wholesale: every survivor re-runs alone
+  // under the guard, slower but with the same verdict.
+  svc::JobResult r = run_opaque_cone_job("seed=1,rate=1.0,sites=batch_pool");
+  EXPECT_TRUE(r.ok) << r.error;
+  EXPECT_TRUE(r.completed);
+  EXPECT_TRUE(r.equivalent);
+  EXPECT_EQ(r.verdict, svc::VerdictClass::Equiv);
+  EXPECT_EQ(r.attempts, 1);
+  EXPECT_EQ(svc::FaultInjector::instance().injected(svc::kFaultBatchPool), 1u);
 }
 
 TEST_F(FaultTest, FaultsClearedTheSameJobCompletesEquiv) {

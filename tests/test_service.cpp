@@ -525,23 +525,36 @@ TEST(IncrementalService, StitchedVerdictsAgreeWithWholeNetlistPath) {
   }
 }
 
-TEST(IncrementalService, FallsBackOnOutputCountMismatch) {
-  // No positional cone pairing exists: the job takes the whole-netlist
-  // path, which diagnoses the interface mismatch as engine failure
-  // (incomplete), not a crash — and reports no cone accounting.
-  eda::circuit::GateNetlist a =
-      eda::testlib::random_netlist_multi(91, 4, 30, 2, 3);
-  eda::circuit::GateNetlist b =
-      eda::testlib::random_netlist_multi(91, 4, 30, 2, 2);
-  std::string pa = write_blif_file(a, "mis_a");
-  std::string pb = write_blif_file(b, "mis_b");
-  svc::VerifyService service(inc_opts());
-  svc::JobResult r =
-      service.run_one(job("blif:" + pa + "," + pb, svc::Method::Eijk));
-  EXPECT_EQ(r.cones, 0u);
-  EXPECT_FALSE(r.ok && r.completed && r.equivalent);
-  std::remove(pa.c_str());
-  std::remove(pb.c_str());
+TEST(IncrementalService, InterfaceMismatchIsInvalidRequest) {
+  // No positional pairing exists, whole or by cone: the job is rejected
+  // before any tier or engine runs — one answer on every path, engine and
+  // decomposition alike, and no retries.
+  using eda::testlib::random_netlist_multi;
+  for (bool outputs_differ : {true, false}) {
+    // 2 outputs vs 1, or 2 inputs vs 3.
+    int ni = outputs_differ ? 2 : 3;
+    int no = outputs_differ ? 1 : 2;
+    eda::circuit::GateNetlist a = random_netlist_multi(91, 2, 30, 2, 2);
+    eda::circuit::GateNetlist b = random_netlist_multi(91, ni, 30, 2, no);
+    std::string pa = write_blif_file(a, "mis_a");
+    std::string pb = write_blif_file(b, "mis_b");
+    std::string spec = "blif:" + pa + "," + pb;
+    for (bool incremental : {false, true}) {
+      for (svc::Method method : {svc::Method::Eijk, svc::Method::Sis}) {
+        SCOPED_TRACE(svc::method_name(method));
+        SCOPED_TRACE(incremental ? "incremental" : "whole pair");
+        svc::VerifyService service(incremental ? inc_opts() : sopts(1));
+        svc::JobResult r = service.run_one(job(spec, method));
+        EXPECT_FALSE(r.ok);
+        EXPECT_EQ(r.verdict, svc::VerdictClass::InvalidRequest);
+        EXPECT_EQ(r.attempts, 0);
+        EXPECT_EQ(r.cones, 0u);
+        EXPECT_NE(r.error.find("interface mismatch"), std::string::npos);
+      }
+    }
+    std::remove(pa.c_str());
+    std::remove(pb.c_str());
+  }
 }
 
 TEST(IncrementalService, NoSharedCacheStillStitchesWithoutCaching) {

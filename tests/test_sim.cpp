@@ -9,9 +9,10 @@
 // That independence is exactly what makes sim refutation sound against
 // every engine's init semantics.
 //
-// The batch tests pin the shared-pool kernel to the per-job engines:
-// verdict-identical on every engine and on every edit class, so the
-// service can route obligations to either path freely.
+// The batch tests pin the shared-pool traversal to the generator's known
+// truth and to the explicit-state SIS engine on every engine and edit
+// class, and the batched tail to batch-of-one runs: the service batches
+// whatever survives the cheap tiers and re-runs retries alone.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +26,7 @@
 #include "verify/batch_bdd.h"
 #include "verify/cone.h"
 #include "verify/parallel_verify.h"
+#include "verify/sis_fsm.h"
 
 namespace c = eda::circuit;
 namespace sim = eda::sim;
@@ -181,13 +183,15 @@ TEST(BitSim, EquivalentEditsNotRefutedAndOpaqueReachesEngine) {
   }
 }
 
-// The shared-pool batched kernel must be verdict-identical to the per-job
-// engines, across every engine and both verdict polarities.
+// The shared-pool batch must give every job the verdict the generator
+// knows, on every engine and both polarities — and the explicit-state SIS
+// engine, which shares no code with the BDD traversal, must agree.
 TEST(BatchBdd, VerdictsIdenticalToPerJobEngines) {
   const std::uint64_t base = tl::stimulus_seed();
   std::vector<c::GateNetlist> keep;  // stable addresses for CheckJob
   keep.reserve(64);
   std::vector<v::CheckJob> jobs;
+  std::vector<bool> truth;
   for (int n = 0; n < 6; ++n) {
     std::uint64_t s = base + 3000 + static_cast<std::uint64_t>(n);
     c::GateNetlist a = tl::random_netlist(s, 4, 40, 2);
@@ -205,22 +209,25 @@ TEST(BatchBdd, VerdictsIdenticalToPerJobEngines) {
       job.engine = eng;
       job.opts.timeout_sec = 30.0;
       jobs.push_back(job);
+      truth.push_back(e != tl::ConeEdit::Different);
     }
   }
   std::vector<v::VerifyResult> batched = v::check_batch(jobs);
   ASSERT_EQ(batched.size(), jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    v::VerifyResult solo = v::run_check(jobs[i]);
-    ASSERT_TRUE(solo.completed) << "job " << i;
+    v::VerifyResult sis = v::sis_fsm_check(*jobs[i].a, *jobs[i].b);
+    ASSERT_TRUE(sis.completed) << "job " << i;
+    EXPECT_EQ(sis.equivalent, truth[i]) << "job " << i;
     EXPECT_TRUE(batched[i].completed) << "job " << i;
-    EXPECT_EQ(batched[i].equivalent, solo.equivalent)
-        << "job " << i << ": batched kernel disagrees with "
-        << v::engine_name(jobs[i].engine);
+    EXPECT_EQ(batched[i].equivalent, truth[i])
+        << "job " << i << ": batched " << v::engine_name(jobs[i].engine)
+        << " disagrees with the generator";
   }
 }
 
-// End-to-end cone path: batched pipeline == per-cone pipeline on a
-// multi-cone design with one edit of each class.
+// End-to-end cone path: the cheap tiers, then ONE shared-pool batch over
+// the survivors, must match each survivor run alone as a batch of one, on
+// a multi-cone design with one edit of each class.
 TEST(BatchBdd, ConePipelineMatchesPerConeVerdicts) {
   const std::uint64_t base = tl::stimulus_seed();
   c::GateNetlist a = tl::random_netlist_multi(base + 4000, 5, 120, 3, 6);
@@ -228,32 +235,50 @@ TEST(BatchBdd, ConePipelineMatchesPerConeVerdicts) {
   b = tl::mutate_cone(b, 3, tl::ConeEdit::EquivalentOpaque);
   b = tl::mutate_cone(b, 5, tl::ConeEdit::Different);
   std::vector<v::ConePair> pairs = v::pair_cones(a, b);
-  std::vector<v::ConeJob> jobs(pairs.size());
+  std::vector<std::optional<v::VerifyResult>> fast(pairs.size());
   for (std::size_t i = 0; i < pairs.size(); ++i) {
-    jobs[i].pair = &pairs[i];
-    jobs[i].sim.seed = base;
+    v::ConeJob job;
+    job.pair = &pairs[i];
+    job.sim.seed = base;
+    fast[i] = v::check_cone_fast(job);
   }
-  std::vector<v::VerifyResult> batched = v::check_cones_batched(jobs);
-  ASSERT_EQ(batched.size(), pairs.size());
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    v::VerifyResult solo = v::check_cone(jobs[i]);
-    ASSERT_TRUE(solo.completed) << "cone " << i;
-    EXPECT_TRUE(batched[i].completed) << "cone " << i;
-    EXPECT_EQ(batched[i].equivalent, solo.equivalent) << "cone " << i;
-    EXPECT_EQ(batched[i].sim_refuted, solo.sim_refuted) << "cone " << i;
+  std::vector<std::optional<v::VerifyResult>> settled;
+  for (v::Engine eng : {v::Engine::Eijk, v::Engine::EijkPlus, v::Engine::Smv}) {
+    settled = fast;
+    std::vector<std::size_t> rest;
+    std::vector<v::CheckJob> tail;
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      if (fast[i]) continue;
+      rest.push_back(i);
+      tail.push_back({&pairs[i].a, &pairs[i].b, eng, {}});
+    }
+    ASSERT_FALSE(tail.empty()) << "the opaque cone must reach the engine";
+    std::vector<v::VerifyResult> batched = v::check_batch(tail);
+    ASSERT_EQ(batched.size(), tail.size());
+    for (std::size_t k = 0; k < tail.size(); ++k) {
+      v::VerifyResult solo = v::check_batch({tail[k]}).front();
+      ASSERT_TRUE(solo.completed) << "cone " << rest[k];
+      EXPECT_TRUE(batched[k].completed) << "cone " << rest[k];
+      EXPECT_EQ(batched[k].equivalent, solo.equivalent) << "cone " << rest[k];
+      EXPECT_EQ(batched[k].iterations, solo.iterations) << "cone " << rest[k];
+      settled[rest[k]] = batched[k];
+    }
   }
   // The one Different cone is NONEQUIV however it was settled; under the
   // default seed the sim tier catches it (pinned so the tier is known to
   // fire in CI), and a sim refutation must name the cone's output.
-  EXPECT_FALSE(batched[5].equivalent);
+  ASSERT_TRUE(settled[5].has_value());
+  EXPECT_FALSE(settled[5]->equivalent);
   if (base == 0x5eedf17eULL) {
-    EXPECT_TRUE(batched[5].sim_refuted);
+    EXPECT_TRUE(settled[5]->sim_refuted);
   }
-  if (batched[5].sim_refuted) {
-    EXPECT_EQ(batched[5].counterexample, a.outputs()[5].first);
+  if (settled[5]->sim_refuted) {
+    EXPECT_EQ(settled[5]->counterexample, a.outputs()[5].first);
   }
   for (std::size_t i : {std::size_t{0}, std::size_t{1}, std::size_t{2},
                         std::size_t{3}, std::size_t{4}}) {
-    EXPECT_TRUE(batched[i].equivalent) << "cone " << i;
+    ASSERT_TRUE(settled[i].has_value()) << "cone " << i;
+    EXPECT_TRUE(settled[i]->completed) << "cone " << i;
+    EXPECT_TRUE(settled[i]->equivalent) << "cone " << i;
   }
 }

@@ -7,9 +7,8 @@
 #include "bench_gen/iwls.h"
 #include "circuit/bitblast.h"
 #include "hash/retime_step.h"
-#include "verify/eijk.h"
+#include "verify/parallel_verify.h"
 #include "verify/sis_fsm.h"
-#include "verify/smv_mc.h"
 #include "verify/symbolic.h"
 
 namespace c = eda::circuit;
@@ -21,6 +20,11 @@ namespace {
 struct Pair {
   c::GateNetlist a, b;
 };
+
+v::VerifyResult check(v::Engine engine, const c::GateNetlist& a,
+                      const c::GateNetlist& b, v::VerifyOptions opts = {}) {
+  return v::run_check({&a, &b, engine, opts});
+}
 
 Pair retimed_pair(int n_bits) {
   auto fig2 = eda::bench_gen::make_fig2(n_bits);
@@ -77,7 +81,7 @@ TEST(Combinational, EquivalentAdders) {
 
 TEST(Smv, RetimedPairEquivalent) {
   Pair p = retimed_pair(3);
-  v::VerifyResult res = v::smv_check(p.a, p.b);
+  v::VerifyResult res = check(v::Engine::Smv, p.a, p.b);
   ASSERT_TRUE(res.completed);
   EXPECT_TRUE(res.equivalent);
   EXPECT_GT(res.iterations, 0);
@@ -85,7 +89,7 @@ TEST(Smv, RetimedPairEquivalent) {
 
 TEST(Smv, BrokenPairCaught) {
   Pair p = broken_pair(3);
-  v::VerifyResult res = v::smv_check(p.a, p.b);
+  v::VerifyResult res = check(v::Engine::Smv, p.a, p.b);
   ASSERT_TRUE(res.completed);
   EXPECT_FALSE(res.equivalent);
 }
@@ -115,15 +119,15 @@ TEST(Sis, TimesOutOnWideInputs) {
 
 TEST(Eijk, RetimedPairEquivalent) {
   Pair p = retimed_pair(3);
-  v::VerifyResult res = v::eijk_check(p.a, p.b);
+  v::VerifyResult res = check(v::Engine::Eijk, p.a, p.b);
   ASSERT_TRUE(res.completed);
   EXPECT_TRUE(res.equivalent);
 }
 
 TEST(Eijk, PlusVariantAgrees) {
   Pair p = retimed_pair(4);
-  v::VerifyResult plain = v::eijk_check(p.a, p.b, {}, false);
-  v::VerifyResult fd = v::eijk_check(p.a, p.b, {}, true);
+  v::VerifyResult plain = check(v::Engine::Eijk, p.a, p.b);
+  v::VerifyResult fd = check(v::Engine::EijkPlus, p.a, p.b);
   ASSERT_TRUE(plain.completed);
   ASSERT_TRUE(fd.completed);
   EXPECT_TRUE(plain.equivalent);
@@ -132,8 +136,8 @@ TEST(Eijk, PlusVariantAgrees) {
 
 TEST(Eijk, BrokenPairCaughtByBoth) {
   Pair p = broken_pair(3);
-  v::VerifyResult plain = v::eijk_check(p.a, p.b, {}, false);
-  v::VerifyResult fd = v::eijk_check(p.a, p.b, {}, true);
+  v::VerifyResult plain = check(v::Engine::Eijk, p.a, p.b);
+  v::VerifyResult fd = check(v::Engine::EijkPlus, p.a, p.b);
   ASSERT_TRUE(plain.completed);
   ASSERT_TRUE(fd.completed);
   EXPECT_FALSE(plain.equivalent);
@@ -150,10 +154,10 @@ TEST(AllEngines, AgreeOnIwlsRetimedPairs) {
     c::GateNetlist gb = c::bit_blast(res.retimed);
     v::VerifyOptions opts;
     opts.timeout_sec = 20.0;
-    v::VerifyResult smv = v::smv_check(ga, gb, opts);
+    v::VerifyResult smv = check(v::Engine::Smv, ga, gb, opts);
     v::VerifyResult sis = v::sis_fsm_check(ga, gb, opts);
-    v::VerifyResult e1 = v::eijk_check(ga, gb, opts, false);
-    v::VerifyResult e2 = v::eijk_check(ga, gb, opts, true);
+    v::VerifyResult e1 = check(v::Engine::Eijk, ga, gb, opts);
+    v::VerifyResult e2 = check(v::Engine::EijkPlus, ga, gb, opts);
     if (smv.completed) {
       EXPECT_TRUE(smv.equivalent);
     }
@@ -195,7 +199,7 @@ TEST(AllEngines, MutationsAreCaught) {
     rebuilt.add_output("y", y);
     c::GateNetlist gb = c::bit_blast(rebuilt);
     SCOPED_TRACE(mutation);
-    v::VerifyResult smv = v::smv_check(ga, gb);
+    v::VerifyResult smv = check(v::Engine::Smv, ga, gb);
     ASSERT_TRUE(smv.completed);
     EXPECT_FALSE(smv.equivalent);
     v::VerifyResult sis = v::sis_fsm_check(ga, gb);

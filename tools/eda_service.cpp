@@ -17,13 +17,11 @@
 //                          obligations keyed on canonical cone hashes, so
 //                          a warm cache re-proves only the changed cones
 //   --no-sim               disable the bit-parallel simulation pre-filter
-//                          (every obligation goes straight to its engine)
+//                          (obligations the identity and fold tiers leave
+//                          go straight to their engine)
 //   --sim-vectors N        random vectors per refutation attempt (default
 //                          256, rounded up to whole 64-lane words)
 //   --sim-seed S           stimulus seed for the pre-filter
-//   --no-batch-bdd         disable the shared-pool batched BDD kernel on
-//                          the incremental engine tail (one BddManager
-//                          per cone instead)
 //   --timeout S            override every job's engine timeout
 //   --json FILE            write the structured results
 //   --cache-file FILE      warm-start the shared caches from FILE (corrupt
@@ -97,7 +95,7 @@ namespace {
       "usage: eda_service (--manifest FILE | --sweep SPEC) [--jobs N]\n"
       "                   [--serial] [--no-shared-cache] [--incremental]\n"
       "                   [--no-sim] [--sim-vectors N] [--sim-seed S]\n"
-      "                   [--no-batch-bdd] [--timeout S] [--json FILE]\n"
+      "                   [--timeout S] [--json FILE]\n"
       "                   [--cache-file FILE] [--cache-server ADDR]\n"
       "                   [--cache-pool N] [--no-cache-batch]\n"
       "                   [--tenant NAME] [--require-cache-hits]\n"
@@ -131,7 +129,7 @@ int main(int argc, char** argv) {
   std::optional<std::size_t> queue_depth;
   unsigned jobs = 0;
   bool serial = false, share_cache = true, require_hits = false,
-       incremental = false, use_sim = true, batch_bdd = true;
+       incremental = false, use_sim = true;
   int sim_vectors = 256;
   int max_retries = 2;
   int cache_pool = 4;
@@ -162,7 +160,6 @@ int main(int argc, char** argv) {
       else if (arg == "--no-shared-cache") share_cache = false;
       else if (arg == "--incremental") incremental = true;
       else if (arg == "--no-sim") use_sim = false;
-      else if (arg == "--no-batch-bdd") batch_bdd = false;
       else if (arg == "--sim-vectors") {
         std::string v = next();
         int n = std::stoi(v, &used);
@@ -265,7 +262,6 @@ int main(int argc, char** argv) {
   opts.incremental = incremental;
   opts.sim.enabled = use_sim;
   opts.sim.vectors = sim_vectors;
-  opts.batch_bdd = batch_bdd;
   opts.retry.max_retries = max_retries;
   if (sim_seed) opts.sim.seed = *sim_seed;
   if (cache_server) opts.cache.server = *cache_server;
@@ -281,12 +277,11 @@ int main(int argc, char** argv) {
       serial ? 1 : (jobs == 0 ? kernel::default_thread_count() : jobs);
   std::printf(
       "eda_service: %zu job(s), %u stream(s), shared cache %s%s, sim "
-      "pre-filter %s (%d vectors, seed %llu)%s\n\n",
+      "pre-filter %s (%d vectors, seed %llu)\n\n",
       specs.size(), threads, share_cache ? "on" : "off",
       incremental ? ", incremental cones" : "",
       use_sim ? "on" : "off", sim_vectors,
-      static_cast<unsigned long long>(opts.sim.seed),
-      batch_bdd ? ", batched bdd" : "");
+      static_cast<unsigned long long>(opts.sim.seed));
   if (service::FaultInjector::instance().enabled()) {
     std::printf("faults: armed (seed %llu, rate %.2f)\n\n",
                 static_cast<unsigned long long>(

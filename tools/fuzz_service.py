@@ -3,17 +3,20 @@
 
 Generates seeded BLIF pairs with KNOWN ground truth (make_fuzz_pair:
 testlib random_netlist_multi + per-cone edits with known semantics) and
-pushes each through eda_service in four configurations:
+pushes each through eda_service under every engine (eijk, eijk+, smv,
+sis — the method token of make_fuzz_pair's manifest, rewritten per run),
+each in four configurations:
 
     whole-pair            whole-pair --no-sim
     --incremental         --incremental --no-sim
 
-failing the run if ANY configuration crashes, hangs, or disagrees with
-the generator's ground truth.  The sim-vs-no-sim axis is the soundness
-gate for the bit-parallel pre-filter (a refutation the engine would not
-have produced is a lane-semantics bug); the incremental axis runs the
-same obligations through cone decomposition and the batched BDD kernel,
-so the two engines cross-check each other on every case.
+failing the run if ANY run crashes, hangs, or disagrees with the
+generator's ground truth.  The sim-vs-no-sim axis is the soundness gate
+for the bit-parallel pre-filter (a refutation the engine would not have
+produced is a lane-semantics bug); the incremental axis runs the same
+question as per-cone obligations on one shared-pool batch instead of one
+whole-pair obligation; the engine axis pins the one BDD traversal's
+three modes and the explicit-state SIS engine to the same truth.
 
 Counterexample names are checked for *presence*, not exact spelling:
 with several edited cones the simulator may legitimately surface a
@@ -39,6 +42,13 @@ import sys
 import tempfile
 
 EDITS = ["equivalent", "opaque", "different", "mixed"]
+ENGINES = ["eijk", "eijk+", "smv", "sis"]
+CONFIGS = [
+    ("sim", []),
+    ("nosim", ["--no-sim"]),
+    ("inc_sim", ["--incremental"]),
+    ("inc_nosim", ["--incremental", "--no-sim"]),
+]
 DEFAULT_SEED_BASE = 0x5EEDF17E
 
 
@@ -65,18 +75,22 @@ def run_case(build, case_dir, seed, edit, timeout):
     artifacts += [os.path.join(case_dir, n)
                   for n in ("a.blif", "b.blif", "pair.manifest")]
 
-    configs = [
-        ("sim", []),
-        ("nosim", ["--no-sim"]),
-        ("inc_sim", ["--incremental"]),
-        ("inc_nosim", ["--incremental", "--no-sim"]),
-    ]
-    for tag, extra in configs:
+    with open(os.path.join(case_dir, "pair.manifest")) as f:
+        manifest = f.read().split()
+    runs = []
+    for engine in ENGINES:
+        stem = engine.replace("+", "plus")
+        path = os.path.join(case_dir, f"pair_{stem}.manifest")
+        with open(path, "w") as f:
+            f.write(" ".join(manifest[:1] + [engine] + manifest[2:]) + "\n")
+        artifacts.append(path)
+        for tag, extra in CONFIGS:
+            runs.append((f"{stem}_{tag}", path, extra))
+    for tag, manifest_path, extra in runs:
         out_json = os.path.join(case_dir, f"result_{tag}.json")
         artifacts.append(out_json)
         cmd = [os.path.join(build, "eda_service"),
-               "--manifest", os.path.join(case_dir, "pair.manifest"),
-               "--json", out_json] + extra
+               "--manifest", manifest_path, "--json", out_json] + extra
         try:
             svc = subprocess.run(cmd, capture_output=True, text=True,
                                  timeout=timeout)
