@@ -61,7 +61,8 @@ class GateNetlist {
 GateNetlist bit_blast(const Rtl& rtl);
 
 /// Cycle-accurate gate-level simulator (used to cross-check bit_blast
-/// against the word-level simulator, and by the explicit-state baseline).
+/// against the word-level simulator, and as the scalar reference the
+/// explicit-state baseline is tested against).
 class GateSimulator {
  public:
   explicit GateSimulator(const GateNetlist& net);

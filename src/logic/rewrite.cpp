@@ -21,7 +21,10 @@ Conv rewr_conv(const Thm& eq_thm) {
     Term lhs = eq_lhs(th.concl());
     auto m = term_match(lhs, t);
     if (!m) {
-      throw ConvError("rewr_conv: no match for " + t.to_string());
+      // No term in the message: top_depth_conv and orelsec catch and drop
+      // this at nearly every node they visit, and printing a hash-consed
+      // term costs time proportional to its expanded tree.
+      throw ConvError("rewr_conv: no match");
     }
     Thm inst = th;
     if (!m->types.empty()) inst = Thm::inst_type(m->types, inst);

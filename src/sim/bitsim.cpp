@@ -36,6 +36,13 @@ void BitSimulator::reset() {
   state_.assign(dff_slots_.size(), Packet{0, 0});
 }
 
+void BitSimulator::latch(const std::uint64_t* bits) {
+  for (std::size_t k = 0; k < state_.size(); ++k) {
+    std::uint64_t bit = (bits[k / 64] >> (k % 64)) & 1;
+    state_[k] = Packet{0 - bit, ~0ULL};  // bit 1 -> all lanes 1
+  }
+}
+
 void BitSimulator::step(const std::vector<std::uint64_t>& stimulus) {
   if (stimulus.size() != input_slots_.size()) {
     throw SimError("BitSimulator::step: stimulus arity mismatch");

@@ -60,6 +60,12 @@ class BitSimulator {
   /// lanes (the pessimistic init).
   void reset();
 
+  /// Latch one concrete state on every lane, all lanes known: flip-flop k
+  /// (GateNetlist::dffs() order) takes bit k % 64 of `bits[k / 64]`.  The
+  /// explicit-state checker (verify/sis_fsm.h) uses this to run one state
+  /// against 64 input vectors per step().
+  void latch(const std::uint64_t* bits);
+
   /// Advance one clock cycle on all 64 lanes: `stimulus[k]` packs input
   /// k's value across the lanes (all lanes known).  Outputs are valid
   /// until the next step()/reset().
@@ -67,6 +73,9 @@ class BitSimulator {
 
   /// Output k after the latest step().
   Packet output(int k) const { return out_[static_cast<std::size_t>(k)]; }
+
+  /// Flip-flop k's latched packet: after step(), its next state per lane.
+  Packet state(int k) const { return state_[static_cast<std::size_t>(k)]; }
 
  private:
   struct Op {

@@ -167,16 +167,16 @@ Thm num_compute_conv(const Term& t) {
     }
     auto v = eval_ground_num(t);
     if (!v) {
-      throw logic::ConvError("num_compute_conv: not a ground numeric term: " +
-                             t.to_string());
+      // Declines carry no printed term (see rewr_conv): callers such as
+      // top_depth_conv discard them at nearly every node.
+      throw logic::ConvError("num_compute_conv: not a ground numeric term");
     }
     return kernel::Oracle::admit(kNumComputeTag, mk_eq(t, mk_numeral(*v)));
   }
   if (t.type() == kernel::bool_ty()) {
     auto v = eval_ground_bool(t);
     if (!v) {
-      throw logic::ConvError("num_compute_conv: not a ground predicate: " +
-                             t.to_string());
+      throw logic::ConvError("num_compute_conv: not a ground predicate");
     }
     Term val = *v ? logic::truth_tm() : logic::falsity_tm();
     return kernel::Oracle::admit(kNumComputeTag, mk_eq(t, val));

@@ -253,6 +253,19 @@ TEST(Rewrite, RewrConvBasic) {
   Thm applied = l::rewr_conv(rule)(target);
   EXPECT_EQ(k::eq_lhs(applied.concl()), target);
   EXPECT_EQ(k::eq_rhs(applied.concl()), bv("p"));
+  // A non-matching target declines with a short message: depth-10
+  // doubling conjunctions of p print to thousands of characters, and
+  // conversion combinators discard the error, so it must not print them.
+  Term tower = bv("p");
+  for (int d = 0; d < 10; ++d) tower = l::mk_conj(tower, tower);
+  Term miss = l::mk_conj(tower, bv("q"));
+  ASSERT_GT(miss.to_string().size(), 4000u);
+  try {
+    l::rewr_conv(rule)(miss);
+    ADD_FAILURE() << "rewr_conv matched a non-instance";
+  } catch (const l::ConvError& e) {
+    EXPECT_LT(std::string(e.what()).size(), 100u);
+  }
 }
 
 TEST(Rewrite, RewriteConvDeep) {

@@ -3,10 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <deque>
+#include <set>
+
 #include "bench_gen/fig2.h"
 #include "bench_gen/iwls.h"
 #include "circuit/bitblast.h"
 #include "hash/retime_step.h"
+#include "testlib/gen.h"
 #include "verify/parallel_verify.h"
 #include "verify/sis_fsm.h"
 #include "verify/symbolic.h"
@@ -14,6 +19,7 @@
 namespace c = eda::circuit;
 namespace h = eda::hash;
 namespace v = eda::verify;
+namespace tl = eda::testlib;
 
 namespace {
 
@@ -49,6 +55,127 @@ Pair broken_pair(int n_bits) {
   bad.set_reg_next(reg, y);
   (void)broken;
   return {c::bit_blast(fig2.rtl), c::bit_blast(bad)};
+}
+
+/// The scalar explicit-state search that sis_fsm_check's 64-lane search
+/// replaced: one (state, input vector) pair per GateSimulator::eval, states
+/// as bit vectors in an ordered set.  Kept here as the differential
+/// reference; sis_fsm_check must reproduce its verdicts, `iterations` and
+/// `peak` exactly.
+v::VerifyResult reference_sis(const c::GateNetlist& a,
+                              const c::GateNetlist& b,
+                              const v::VerifyOptions& opts) {
+  v::VerifyResult res;
+  auto start = std::chrono::steady_clock::now();
+  auto elapsed = [&] {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+  };
+  if (a.inputs().size() != b.inputs().size() ||
+      a.outputs().size() != b.outputs().size()) {
+    res.completed = true;
+    res.equivalent = false;
+    return res;
+  }
+  const std::size_t ni = a.inputs().size();
+  if (ni > 24) {
+    res.failure = v::FailureKind::ResourceExhausted;
+    return res;
+  }
+  c::GateSimulator sa(a), sb(b);
+  std::vector<bool> init;
+  for (bool bit : sa.dff_state()) init.push_back(bit);
+  for (bool bit : sb.dff_state()) init.push_back(bit);
+  const std::size_t na = sa.dff_state().size();
+  std::set<std::vector<bool>> visited;
+  std::deque<std::vector<bool>> queue;
+  visited.insert(init);
+  queue.push_back(init);
+  std::uint64_t input_count = 1ULL << ni;
+  while (!queue.empty()) {
+    if (elapsed() > opts.timeout_sec || visited.size() > opts.state_limit) {
+      res.seconds = elapsed();
+      res.peak = visited.size();
+      res.failure = elapsed() > opts.timeout_sec
+                        ? v::FailureKind::Timeout
+                        : v::FailureKind::ResourceExhausted;
+      return res;
+    }
+    std::vector<bool> state = queue.front();
+    queue.pop_front();
+    ++res.iterations;
+    std::vector<bool> state_a(state.begin(),
+                              state.begin() + static_cast<long>(na));
+    std::vector<bool> state_b(state.begin() + static_cast<long>(na),
+                              state.end());
+    for (std::uint64_t in = 0; in < input_count; ++in) {
+      std::vector<bool> bits = c::to_bits(in, static_cast<int>(ni));
+      auto [oa, nexta] = sa.eval(bits, state_a);
+      auto [ob, nextb] = sb.eval(bits, state_b);
+      if (oa != ob) {
+        res.completed = true;
+        res.equivalent = false;
+        res.seconds = elapsed();
+        res.peak = visited.size();
+        return res;
+      }
+      std::vector<bool> next = nexta;
+      next.insert(next.end(), nextb.begin(), nextb.end());
+      if (visited.insert(next).second) queue.push_back(next);
+    }
+  }
+  res.completed = true;
+  res.equivalent = true;
+  res.seconds = elapsed();
+  res.peak = visited.size();
+  return res;
+}
+
+/// One side of all_ones_pair: `ni` inputs, a `bits`-bit register r with
+/// r' = r XOR in (input i % ni drives bit i), and `hold` registers whose
+/// next state is themselves (alternating inits), which widen the packed
+/// state without adding reachable states.  The output is r's parity; the
+/// faulty side XORs in AND(every input, r == all ones) or, with
+/// `at_init`, AND(every input, r == 0).
+c::GateNetlist all_ones_side(int ni, int bits, int hold, bool faulty,
+                             bool at_init) {
+  c::GateNetlist net;
+  std::vector<c::LitId> in, r;
+  for (int i = 0; i < ni; ++i) {
+    in.push_back(net.add_input("in" + std::to_string(i)));
+  }
+  for (int i = 0; i < bits; ++i) {
+    r.push_back(net.add_dff("r" + std::to_string(i), false));
+  }
+  for (int i = 0; i < hold; ++i) {
+    c::LitId h = net.add_dff("h" + std::to_string(i), i % 2 == 1);
+    net.set_dff_next(h, h);
+  }
+  c::LitId parity = r[0];
+  c::LitId hit = at_init ? net.add_gate(c::GateOp::Not, r[0]) : r[0];
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    c::LitId drive = in[i % in.size()];
+    net.set_dff_next(r[i], net.add_gate(c::GateOp::Xor, r[i], drive));
+    if (i == 0) continue;
+    parity = net.add_gate(c::GateOp::Xor, parity, r[i]);
+    c::LitId bit = at_init ? net.add_gate(c::GateOp::Not, r[i]) : r[i];
+    hit = net.add_gate(c::GateOp::And, hit, bit);
+  }
+  for (c::LitId x : in) hit = net.add_gate(c::GateOp::And, hit, x);
+  c::LitId out = faulty ? net.add_gate(c::GateOp::Xor, parity, hit) : parity;
+  net.add_output("y", out);
+  return net;
+}
+
+/// Outputs differ only on the all-ones input vector, from the state where
+/// r is all ones (the last state the search dequeues; the mismatch lands
+/// in the last lane of the last packet) or, with `at_init`, from the
+/// initial state (every earlier lane's successor is recorded first).
+Pair all_ones_pair(int ni, int bits, int hold_a, int hold_b,
+                   bool at_init = false) {
+  return {all_ones_side(ni, bits, hold_a, false, at_init),
+          all_ones_side(ni, bits, hold_b, true, at_init)};
 }
 
 }  // namespace
@@ -108,13 +235,93 @@ TEST(Sis, BrokenPairCaught) {
   EXPECT_FALSE(res.equivalent);
 }
 
-TEST(Sis, TimesOutOnWideInputs) {
-  // 2 x 14 input bits = 2^28 input combinations per state: must bail out.
+TEST(Sis, RefusesMoreThan24InputBits) {
+  // 2 x 14 input bits = 2^28 input combinations per state: a capability
+  // limit, reported before any search.
   Pair p = retimed_pair(14);
   v::VerifyOptions opts;
   opts.timeout_sec = 0.5;
   v::VerifyResult res = v::sis_fsm_check(p.a, p.b, opts);
   EXPECT_FALSE(res.completed);
+  EXPECT_EQ(res.failure, v::FailureKind::ResourceExhausted);
+}
+
+TEST(Sis, TimesOutInsideOneState) {
+  // 2 x 12 input bits = 2^24 input vectors per state: the budget must hold
+  // inside the first state, not only when the next one is dequeued.
+  Pair p = retimed_pair(12);
+  v::VerifyOptions opts;
+  opts.timeout_sec = 0.5;
+  auto t0 = std::chrono::steady_clock::now();
+  v::VerifyResult res = v::sis_fsm_check(p.a, p.b, opts);
+  std::chrono::duration<double> wall = std::chrono::steady_clock::now() - t0;
+  EXPECT_FALSE(res.completed);
+  EXPECT_EQ(res.failure, v::FailureKind::Timeout);
+  EXPECT_GT(res.seconds, opts.timeout_sec);
+  EXPECT_LT(wall.count(), 1.5);
+}
+
+TEST(Sis, MatchesScalarReference) {
+  struct Case {
+    std::string name;
+    Pair pair;
+    std::size_t state_limit = 2'000'000;
+  };
+  std::vector<Case> cases;
+  // fig2 pairs: 2 and 4 input bits (masked lanes), 6 (one full packet),
+  // 8 and 10 (several packets per state).
+  for (int n = 1; n <= 5; ++n) {
+    cases.push_back({"fig2:" + std::to_string(n), retimed_pair(n)});
+  }
+  cases.push_back({"broken:3", broken_pair(3)});
+  // Mismatch only on the all-ones input vector.  Hold registers put 69
+  // or 70 flip-flops on one side (two words) and over 64 in the product.
+  cases.push_back({"all_ones:1", all_ones_pair(1, 2, 0, 3)});
+  cases.push_back({"all_ones:3", all_ones_pair(3, 3, 10, 0)});
+  cases.push_back({"all_ones:6", all_ones_pair(6, 2, 40, 40)});
+  cases.push_back({"all_ones:7", all_ones_pair(7, 3, 66, 5)});
+  cases.push_back({"all_ones:9", all_ones_pair(9, 4, 3, 66)});
+  cases.push_back({"all_ones_init:6", all_ones_pair(6, 6, 0, 0, true)});
+  cases.push_back({"all_ones_init:8", all_ones_pair(8, 5, 66, 2, true)});
+  Pair equal_wide{all_ones_side(9, 3, 66, false, false),
+                  all_ones_side(9, 3, 70, false, false)};
+  cases.push_back({"equal_wide", equal_wide});
+  const std::uint64_t seed = tl::stimulus_seed();
+  const tl::ConeEdit edits[] = {tl::ConeEdit::Equivalent,
+                                tl::ConeEdit::EquivalentOpaque,
+                                tl::ConeEdit::Different};
+  const int inputs[] = {3, 6, 8};
+  for (int k = 0; k < 9; ++k) {
+    c::GateNetlist a = tl::random_netlist(
+        seed + static_cast<std::uint64_t>(k), inputs[k % 3], 30, 5);
+    c::GateNetlist b = tl::mutate_cone(a, 0, edits[k / 3]);
+    cases.push_back({"random:" + std::to_string(k), {a, b}});
+  }
+  // state_limit stops must land on the same dequeue.
+  cases.push_back({"limit:fig2:4", retimed_pair(4), 3});
+  cases.push_back({"limit:all_ones:7", all_ones_pair(7, 3, 66, 5), 5});
+
+  int nonequiv = 0, limited = 0;
+  for (const Case& tc : cases) {
+    SCOPED_TRACE(tc.name);
+    v::VerifyOptions opts;
+    opts.timeout_sec = 120.0;
+    opts.state_limit = tc.state_limit;
+    v::VerifyResult want = reference_sis(tc.pair.a, tc.pair.b, opts);
+    v::VerifyResult got = v::sis_fsm_check(tc.pair.a, tc.pair.b, opts);
+    ASSERT_TRUE(want.completed ||
+                want.failure == v::FailureKind::ResourceExhausted);
+    EXPECT_EQ(got.completed, want.completed);
+    EXPECT_EQ(got.equivalent, want.equivalent);
+    EXPECT_EQ(got.failure, want.failure);
+    EXPECT_EQ(got.iterations, want.iterations);
+    EXPECT_EQ(got.peak, want.peak);
+    nonequiv += want.completed && !want.equivalent;
+    limited += want.failure == v::FailureKind::ResourceExhausted;
+  }
+  // The corpus must exercise every outcome it claims to.
+  EXPECT_GE(nonequiv, 11);
+  EXPECT_EQ(limited, 2);
 }
 
 TEST(Eijk, RetimedPairEquivalent) {
