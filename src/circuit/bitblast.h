@@ -48,6 +48,9 @@ class GateNetlist {
 
   void validate() const;
 
+  /// Capacity for `nodes` nodes, for builders that know the final size.
+  void reserve(std::size_t nodes) { nodes_.reserve(nodes); }
+
  private:
   std::vector<GateNode> nodes_;
   std::vector<LitId> inputs_;

@@ -1,9 +1,9 @@
 #include "io/blif.h"
 
-#include <functional>
-#include <map>
-#include <set>
+#include <forward_list>
+#include <istream>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "kernel/serialize.h"
@@ -82,321 +82,493 @@ std::string write_blif(const GateNetlist& net, const std::string& model_name) {
 
 namespace {
 
-struct Cover {
-  std::vector<std::string> ins;  // input signal names
-  std::string out;
-  std::vector<std::string> rows;  // input-plane cubes
-  char out_value = '1';           // '1' = on-set cover, '0' = off-set cover
+/// The whitespace `operator>>` skips in the classic locale.
+constexpr bool is_blank(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
+}
+
+/// Whitespace-separated tokens of one logical line, as views into it.
+class Tokens {
+ public:
+  explicit Tokens(std::string_view line) : rest_(line) {}
+  bool next(std::string_view& tok) {
+    std::size_t i = 0;
+    while (i < rest_.size() && is_blank(rest_[i])) ++i;
+    std::size_t j = i;
+    while (j < rest_.size() && !is_blank(rest_[j])) ++j;
+    tok = rest_.substr(i, j - i);
+    rest_.remove_prefix(j);
+    return !tok.empty();
+  }
+
+ private:
+  std::string_view rest_;
 };
 
-struct BlifDoc {
-  std::vector<std::string> inputs;
-  std::vector<std::string> outputs;
-  struct Latch {
-    std::string in, out;
-    bool init;
-  };
-  std::vector<Latch> latches;
-  std::map<std::string, Cover> covers;  // by output name
+/// Everything the reader knows about one signal name.
+struct Signal {
+  std::string_view name;
+  std::size_t hash = 0;
+  std::int32_t cover = -1;  ///< index of the `.names` driving it, or -1
+  LitId lit = -1;           ///< bound literal once resolved
+  bool busy = false;        ///< on the resolver's stack
 };
 
-BlifDoc read_doc(std::istream& in) {
-  BlifDoc doc;
-  Cover* open_cover = nullptr;
-  std::string raw, line;
-  auto flush_continuations = [&](std::string s) {
-    while (!s.empty() && s.back() == '\\') {
-      s.pop_back();
-      std::string next;
-      if (std::getline(in, next)) s += next;
+/// Signal names to dense ids through one open-addressing table (linear
+/// probing, at most half full).  Names are views into the text, or into a
+/// joined continuation line the document keeps alive.
+class Signals {
+ public:
+  std::uint32_t id(std::string_view name) {
+    if (2 * (sigs_.size() + 1) > slots_.size()) grow();
+    const std::size_t h = std::hash<std::string_view>{}(name);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = h & mask;; i = (i + 1) & mask) {
+      const std::uint32_t s = slots_[i];
+      if (s == 0) {
+        sigs_.push_back({name, h});
+        slots_[i] = static_cast<std::uint32_t>(sigs_.size());
+        return static_cast<std::uint32_t>(sigs_.size() - 1);
+      }
+      if (sigs_[s - 1].hash == h && sigs_[s - 1].name == name) return s - 1;
     }
-    return s;
+  }
+  Signal& operator[](std::uint32_t id) { return sigs_[id]; }
+
+ private:
+  void grow() {
+    std::vector<std::uint32_t> slots(slots_.empty() ? 256 : 2 * slots_.size(),
+                                     0);
+    const std::size_t mask = slots.size() - 1;
+    for (std::size_t k = 0; k < sigs_.size(); ++k) {
+      std::size_t i = sigs_[k].hash & mask;
+      while (slots[i] != 0) i = (i + 1) & mask;
+      slots[i] = static_cast<std::uint32_t>(k + 1);
+    }
+    slots_ = std::move(slots);
+  }
+
+  std::vector<std::uint32_t> slots_;
+  std::vector<Signal> sigs_;
+};
+
+/// One `.names` cover, stored flat: its input ids are
+/// `Doc::fanins[first_in, first_in + n_ins)`, its rows `n_rows` cubes of
+/// `n_ins` characters each from `Doc::cubes[first_cube]` on.  A cover's
+/// rows are contiguous because a closed cover is never reopened.
+struct Cover {
+  std::uint32_t first_in = 0, n_ins = 0;
+  std::size_t first_cube = 0;
+  std::uint32_t n_rows = 0;
+  char out_value = '1';  // '1' = on-set cover, '0' = off-set cover
+};
+
+struct Latch {
+  std::uint32_t in, out;
+  bool init;
+};
+
+struct Doc {
+  Signals sigs;
+  std::vector<std::uint32_t> inputs, outputs, fanins;
+  std::vector<Latch> latches;
+  std::vector<Cover> covers;
+  std::string cubes;
+  std::forward_list<std::string> joined;  // continued lines `sigs` views into
+};
+
+IoError parse_error(const std::string& what) {
+  return IoError("parse_blif: " + what);
+}
+
+IoError parse_error(const char* pre, std::string_view name, const char* post) {
+  return parse_error(pre + std::string(name) + post);
+}
+
+/// Pass 1: scan the text line by line into a flat document.  Every
+/// syntactic error throws here, in file order, before any signal is
+/// resolved.
+void read_doc(std::string_view text, Doc& doc) {
+  std::size_t pos = 0;
+  // std::getline semantics: split on '\n', no empty line after a final
+  // newline, a carriage return stays part of the line.
+  auto next_line = [&](std::string_view& line) {
+    if (pos >= text.size()) return false;
+    std::size_t nl = text.find('\n', pos);
+    if (nl == std::string_view::npos) nl = text.size();
+    line = text.substr(pos, nl - pos);
+    pos = nl + 1;
+    return true;
   };
-  while (std::getline(in, raw)) {
-    line = flush_continuations(raw);
-    if (auto pos = line.find('#'); pos != std::string::npos) line.erase(pos);
-    std::istringstream ls(line);
-    std::string tok;
-    if (!(ls >> tok)) continue;
+  std::int32_t open_cover = -1;
+  std::string_view line;
+  while (next_line(line)) {
+    if (!line.empty() && line.back() == '\\') {
+      // A trailing backslash joins the next line (or, on the last line,
+      // just drops); comments are stripped after joining.
+      std::string s(line);
+      while (!s.empty() && s.back() == '\\') {
+        s.pop_back();
+        std::string_view more;
+        if (next_line(more)) s.append(more);
+      }
+      line = doc.joined.emplace_front(std::move(s));
+    }
+    if (std::size_t cut = line.find('#'); cut != std::string_view::npos) {
+      line = line.substr(0, cut);
+    }
+    Tokens toks(line);
+    std::string_view tok;
+    if (!toks.next(tok)) continue;
     if (tok == ".model") {
       // name ignored
-    } else if (tok == ".inputs") {
-      std::string s;
-      while (ls >> s) doc.inputs.push_back(s);
-      open_cover = nullptr;
-    } else if (tok == ".outputs") {
-      std::string s;
-      while (ls >> s) doc.outputs.push_back(s);
-      open_cover = nullptr;
+    } else if (tok == ".inputs" || tok == ".outputs") {
+      std::vector<std::uint32_t>& list =
+          tok == ".inputs" ? doc.inputs : doc.outputs;
+      for (std::string_view s; toks.next(s);) list.push_back(doc.sigs.id(s));
+      open_cover = -1;
     } else if (tok == ".latch") {
-      BlifDoc::Latch l;
-      std::string init;
-      if (!(ls >> l.in >> l.out)) throw IoError("parse_blif: bad .latch");
+      std::string_view in, out, last;
+      if (!toks.next(in) || !toks.next(out)) throw parse_error("bad .latch");
       // Optional type/clock fields before the init value are not emitted
       // by us; accept 0/1/2/3 (2/3 = unknown -> 0) as the last token.
-      std::vector<std::string> rest;
-      std::string s;
-      while (ls >> s) rest.push_back(s);
-      l.init = !rest.empty() && rest.back() == "1";
-      doc.latches.push_back(l);
-      open_cover = nullptr;
+      for (std::string_view s; toks.next(s);) last = s;
+      doc.latches.push_back({doc.sigs.id(in), doc.sigs.id(out), last == "1"});
+      open_cover = -1;
     } else if (tok == ".names") {
-      std::vector<std::string> sig;
-      std::string s;
-      while (ls >> s) sig.push_back(s);
-      if (sig.empty()) throw IoError("parse_blif: .names with no signals");
+      const std::size_t first = doc.fanins.size();
+      for (std::string_view s; toks.next(s);) {
+        doc.fanins.push_back(doc.sigs.id(s));
+      }
+      if (doc.fanins.size() == first) {
+        throw parse_error(".names with no signals");
+      }
+      const std::uint32_t out = doc.fanins.back();
+      doc.fanins.pop_back();
       Cover c;
-      c.out = sig.back();
-      sig.pop_back();
-      c.ins = std::move(sig);
-      if (c.ins.size() > 16) {
-        throw IoError("parse_blif: cover fan-in above 16 unsupported");
+      c.first_in = static_cast<std::uint32_t>(first);
+      c.n_ins = static_cast<std::uint32_t>(doc.fanins.size() - first);
+      c.first_cube = doc.cubes.size();
+      if (c.n_ins > 16) {
+        throw parse_error("cover fan-in above 16 unsupported");
       }
-      auto [it, inserted] = doc.covers.emplace(c.out, std::move(c));
-      if (!inserted) {
-        throw IoError("parse_blif: signal '" + it->first +
-                      "' defined twice");
+      Signal& sig = doc.sigs[out];
+      if (sig.cover >= 0) {
+        throw parse_error("signal '", sig.name, "' defined twice");
       }
-      open_cover = &it->second;
+      open_cover = sig.cover = static_cast<std::int32_t>(doc.covers.size());
+      doc.covers.push_back(c);
     } else if (tok == ".end") {
       break;
     } else if (tok[0] == '.') {
-      throw IoError("parse_blif: unsupported directive '" + tok + "'");
+      throw parse_error("unsupported directive '", tok, "'");
     } else {
       // A cover row: input cube plus output value (or bare "1" for const).
-      if (open_cover == nullptr) {
-        throw IoError("parse_blif: cover row outside .names");
-      }
-      std::string cube, ov;
-      if (open_cover->ins.empty()) {
-        cube = "";
-        ov = tok;
-      } else {
+      if (open_cover < 0) throw parse_error("cover row outside .names");
+      Cover& c = doc.covers[static_cast<std::size_t>(open_cover)];
+      std::string_view cube, ov = tok;
+      if (c.n_ins > 0) {
         cube = tok;
-        if (!(ls >> ov)) throw IoError("parse_blif: bad row '" + line + "'");
-        if (cube.size() != open_cover->ins.size()) {
-          throw IoError("parse_blif: cube width mismatch in '" + line + "'");
+        if (!toks.next(ov)) throw parse_error("bad row '", line, "'");
+        if (cube.size() != c.n_ins) {
+          throw parse_error("cube width mismatch in '", line, "'");
         }
       }
       if (ov != "1" && ov != "0") {
-        throw IoError("parse_blif: output plane must be 0 or 1");
+        throw parse_error("output plane must be 0 or 1");
       }
-      if (open_cover->rows.empty()) {
-        open_cover->out_value = ov[0];
-      } else if (open_cover->out_value != ov[0]) {
-        throw IoError("parse_blif: mixed on/off-set covers unsupported");
+      if (c.n_rows == 0) {
+        c.out_value = ov[0];
+      } else if (c.out_value != ov[0]) {
+        throw parse_error("mixed on/off-set covers unsupported");
       }
-      open_cover->rows.push_back(cube);
+      doc.cubes.append(cube);
+      ++c.n_rows;
     }
   }
-  return doc;
+}
+
+/// Pass 2: bind every signal a latch or output needs, building gates in
+/// the post-order of a left-to-right depth-first walk over cover inputs
+/// (covers may reference each other forward).  The walk keeps its own
+/// stack, so logic depth is bounded by memory, not by the call stack.
+class Resolver {
+ public:
+  explicit Resolver(Doc& doc) : doc_(doc) {}
+
+  GateNetlist build() {
+    Signals& sigs = doc_.sigs;
+    for (std::uint32_t s : doc_.inputs) {
+      sigs[s].lit = net_.add_input(std::string(sigs[s].name));
+    }
+    for (const Latch& l : doc_.latches) {
+      sigs[l.out].lit = net_.add_dff(std::string(sigs[l.out].name), l.init);
+    }
+    for (const Latch& l : doc_.latches) {
+      const LitId next = resolve(l.in);
+      net_.set_dff_next(sigs[l.out].lit, next);
+    }
+    for (std::uint32_t o : doc_.outputs) {
+      const LitId lit = resolve(o);
+      net_.add_output(std::string(sigs[o].name), lit);
+    }
+    net_.validate();
+    return std::move(net_);
+  }
+
+ private:
+  struct Frame {
+    std::uint32_t sig;
+    std::uint32_t next_in;  // first input not yet resolved
+  };
+
+  LitId resolve(std::uint32_t root) {
+    Signals& sigs = doc_.sigs;
+    if (sigs[root].lit >= 0) return sigs[root].lit;
+    enter(root);
+    for (;;) {
+      Frame& f = stack_.back();
+      const Cover& c = doc_.covers[static_cast<std::size_t>(sigs[f.sig].cover)];
+      if (f.next_in < c.n_ins) {
+        const std::uint32_t in = doc_.fanins[c.first_in + f.next_in];
+        if (sigs[in].lit >= 0) {
+          vals_.push_back(sigs[in].lit);
+          ++f.next_in;
+        } else {
+          enter(in);
+        }
+        continue;
+      }
+      // Every input is bound: its literals are the top n_ins values.
+      const std::size_t base = vals_.size() - c.n_ins;
+      const LitId value = build_cover(c, base);
+      vals_.resize(base);
+      sigs[f.sig].busy = false;
+      sigs[f.sig].lit = value;
+      stack_.pop_back();
+      if (stack_.empty()) return value;
+      vals_.push_back(value);
+      ++stack_.back().next_in;
+    }
+  }
+
+  void enter(std::uint32_t s) {
+    Signal& sig = doc_.sigs[s];
+    if (sig.cover < 0) throw parse_error("undriven signal '", sig.name, "'");
+    if (sig.busy) {
+      throw parse_error("combinational cycle through '", sig.name, "'");
+    }
+    sig.busy = true;
+    stack_.push_back({s, 0});
+  }
+
+  /// The gates of cover `c`, whose input literals are `vals_[base..]`.
+  LitId build_cover(const Cover& c, std::size_t base) {
+    if (c.n_ins == 0) return net_.add_const(c.out_value == '1' && c.n_rows > 0);
+    if (c.n_rows == 0) return net_.add_const(false);  // empty on-set
+    // OR of AND-cubes over the input literals.
+    LitId acc = -1;
+    const char* row = doc_.cubes.data() + c.first_cube;
+    for (std::uint32_t r = 0; r < c.n_rows; ++r, row += c.n_ins) {
+      LitId cube = -1;
+      for (std::uint32_t k = 0; k < c.n_ins; ++k) {
+        if (row[k] == '-') continue;
+        LitId lit = vals_[base + k];
+        if (row[k] == '0') lit = net_.add_gate(GateOp::Not, lit);
+        cube = cube < 0 ? lit : net_.add_gate(GateOp::And, cube, lit);
+      }
+      if (cube < 0) cube = net_.add_const(true);  // all-don't-care cube
+      acc = acc < 0 ? cube : net_.add_gate(GateOp::Or, acc, cube);
+    }
+    return c.out_value == '0' ? net_.add_gate(GateOp::Not, acc) : acc;
+  }
+
+  Doc& doc_;
+  GateNetlist net_;
+  std::vector<Frame> stack_;
+  std::vector<LitId> vals_;  // bound input literals of the open frames
+};
+
+GateNetlist parse_text(std::string_view text) {
+  Doc doc;
+  read_doc(text, doc);
+  return Resolver(doc).build();
 }
 
 }  // namespace
 
 GateNetlist parse_blif(std::istream& in) {
-  BlifDoc doc = read_doc(in);
-  GateNetlist net;
-  std::map<std::string, LitId> sig;
-
-  for (const std::string& s : doc.inputs) sig[s] = net.add_input(s);
-  for (const BlifDoc::Latch& l : doc.latches) {
-    sig[l.out] = net.add_dff(l.out, l.init);
-  }
-
-  // Resolve covers recursively (they may reference each other forward).
-  std::set<std::string> in_progress;
-  std::function<LitId(const std::string&)> resolve =
-      [&](const std::string& name) -> LitId {
-    if (auto it = sig.find(name); it != sig.end()) return it->second;
-    auto cit = doc.covers.find(name);
-    if (cit == doc.covers.end()) {
-      throw IoError("parse_blif: undriven signal '" + name + "'");
-    }
-    if (!in_progress.insert(name).second) {
-      throw IoError("parse_blif: combinational cycle through '" + name +
-                    "'");
-    }
-    const Cover& c = cit->second;
-    std::vector<LitId> ins;
-    ins.reserve(c.ins.size());
-    for (const std::string& s : c.ins) ins.push_back(resolve(s));
-
-    LitId value;
-    if (c.ins.empty()) {
-      value = net.add_const(c.out_value == '1' && !c.rows.empty());
-    } else if (c.rows.empty()) {
-      value = net.add_const(false);  // empty on-set
-    } else {
-      // OR of AND-cubes over the input literals.
-      LitId acc = -1;
-      for (const std::string& row : c.rows) {
-        LitId cube = -1;
-        for (std::size_t k = 0; k < row.size(); ++k) {
-          if (row[k] == '-') continue;
-          LitId lit = ins[k];
-          if (row[k] == '0') lit = net.add_gate(GateOp::Not, lit);
-          cube = cube < 0 ? lit : net.add_gate(GateOp::And, cube, lit);
-        }
-        if (cube < 0) cube = net.add_const(true);  // all-don't-care cube
-        acc = acc < 0 ? cube : net.add_gate(GateOp::Or, acc, cube);
+  std::string text;
+  if (in) {
+    std::streambuf* buf = in.rdbuf();
+    for (std::size_t got = 0;;) {
+      text.resize(got + (std::size_t{1} << 16));
+      const std::streamsize n = buf->sgetn(
+          &text[got], static_cast<std::streamsize>(text.size() - got));
+      got += static_cast<std::size_t>(n > 0 ? n : 0);
+      if (got < text.size()) {
+        text.resize(got);
+        break;
       }
-      value = acc;
-      if (c.out_value == '0') value = net.add_gate(GateOp::Not, value);
     }
-    in_progress.erase(name);
-    sig[name] = value;
-    return value;
-  };
-
-  for (const BlifDoc::Latch& l : doc.latches) {
-    net.set_dff_next(sig.at(l.out), resolve(l.in));
   }
-  for (const std::string& o : doc.outputs) net.add_output(o, resolve(o));
-  net.validate();
-  return net;
+  return parse_text(text);
 }
 
 GateNetlist parse_blif_string(const std::string& text) {
-  std::istringstream in(text);
-  return parse_blif(in);
+  return parse_text(text);
 }
 
 std::uint64_t structural_hash(const GateNetlist& net) {
   // kernel::fnv1a64 over a canonical byte walk of the graph in node-id
-  // order.  Node ids are themselves structural (they encode construction
-  // order, which the parser derives from the netlist's topology, not its
-  // names), so two parses of structurally identical BLIF agree
-  // id-for-id.  Names are *excluded* on purpose — see the header comment.
-  // Fan-in ids are offset by one so the -1 "unset" sentinel hashes
-  // distinctly from node 0.
-  std::string walk;
-  walk.reserve(net.nodes().size() * 33 + 64);
-  auto put = [&walk](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      walk.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
-  };
-  put(net.nodes().size());
+  // order, streamed word by word (every word little-endian, 8 bytes).
+  // Node ids are themselves structural (they encode construction order,
+  // which the parser derives from the netlist's topology, not its names),
+  // so two parses of structurally identical BLIF agree id-for-id.  Names
+  // are *excluded* on purpose — see the header comment.  Fan-in ids are
+  // offset by one so the -1 "unset" sentinel hashes distinctly from node 0.
+  kernel::Fnv1a64 h;
+  h.u64(net.nodes().size());
   for (const GateNode& n : net.nodes()) {
-    put(static_cast<std::uint64_t>(n.op));
-    put(static_cast<std::uint64_t>(n.a + 1));
-    put(static_cast<std::uint64_t>(n.b + 1));
-    put(static_cast<std::uint64_t>(n.next + 1));
-    put(n.init ? 1 : 0);
+    h.u64(static_cast<std::uint64_t>(n.op));
+    h.u64(static_cast<std::uint64_t>(n.a + 1));
+    h.u64(static_cast<std::uint64_t>(n.b + 1));
+    h.u64(static_cast<std::uint64_t>(n.next + 1));
+    h.u64(n.init ? 1 : 0);
   }
-  put(net.inputs().size());
-  for (LitId l : net.inputs()) put(static_cast<std::uint64_t>(l));
-  put(net.dffs().size());
-  for (LitId l : net.dffs()) put(static_cast<std::uint64_t>(l));
-  put(net.outputs().size());
+  h.u64(net.inputs().size());
+  for (LitId l : net.inputs()) h.u64(static_cast<std::uint64_t>(l));
+  h.u64(net.dffs().size());
+  for (LitId l : net.dffs()) h.u64(static_cast<std::uint64_t>(l));
+  h.u64(net.outputs().size());
   for (const auto& [name, lit] : net.outputs()) {
-    put(static_cast<std::uint64_t>(lit));
+    h.u64(static_cast<std::uint64_t>(lit));
   }
-  return kernel::fnv1a64(walk);
+  return h.digest();
 }
 
 namespace {
 
-/// Canonical extraction of one output cone.  Pass 1 walks the transitive
-/// fanin depth-first — combinational edges first, then each discovered
-/// flip-flop's next-state function, in flip-flop discovery order — and
-/// records a post-order over gates/constants plus the DFF discovery
-/// order.  Pass 2 rebuilds the cone in that order (inputs, DFFs, gates),
-/// so the new node ids depend only on the cone's graph, never on how the
-/// parent happened to number or interleave its nodes.
-Cone extract_one(const GateNetlist& net, const std::string& name,
-                 LitId root) {
-  std::vector<LitId> dff_order, comb_order;
-  std::vector<char> seen(net.nodes().size(), 0);
+/// Canonical extraction of a netlist's output cones.  Pass 1 walks one
+/// cone's transitive fanin depth-first — combinational edges first, then
+/// each discovered flip-flop's next-state function, in flip-flop
+/// discovery order — and records a post-order over gates/constants plus
+/// the DFF discovery order.  Pass 2 rebuilds the cone in that order
+/// (inputs, DFFs, gates), so the new node ids depend only on the cone's
+/// graph, never on how the parent happened to number or interleave its
+/// nodes.  The scratch arrays are sized to the parent once and shared by
+/// all of its cones.
+class ConeExtractor {
+ public:
+  explicit ConeExtractor(const GateNetlist& net)
+      : net_(net),
+        seen_(net.nodes().size(), 0),
+        remap_(net.nodes().size(), -1) {}
+
+  Cone extract(const std::string& name, LitId root) {
+    dff_order_.clear();
+    comb_order_.clear();
+    walk(root);
+    // dff_order_ grows while we iterate: each flip-flop's next-state cone
+    // may discover further flip-flops.
+    for (std::size_t k = 0; k < dff_order_.size(); ++k) {
+      walk(net_.node(dff_order_[k]).next);
+    }
+
+    GateNetlist out;
+    out.reserve(net_.inputs().size() + dff_order_.size() + comb_order_.size());
+    for (LitId in : net_.inputs()) {
+      remap_[idx(in)] = out.add_input(net_.node(in).name);
+    }
+    for (LitId d : dff_order_) {
+      const GateNode& n = net_.node(d);
+      remap_[idx(d)] = out.add_dff(n.name, n.init);
+    }
+    for (LitId g : comb_order_) {
+      const GateNode& n = net_.node(g);
+      LitId mapped;
+      switch (n.op) {
+        case GateOp::Const0:
+          mapped = out.add_const(false);
+          break;
+        case GateOp::Const1:
+          mapped = out.add_const(true);
+          break;
+        case GateOp::Not:
+          mapped = out.add_gate(GateOp::Not, remap_[idx(n.a)]);
+          break;
+        default:
+          mapped = out.add_gate(n.op, remap_[idx(n.a)], remap_[idx(n.b)]);
+          break;
+      }
+      remap_[idx(g)] = mapped;
+    }
+    for (LitId d : dff_order_) {
+      out.set_dff_next(remap_[idx(d)], remap_[idx(net_.node(d).next)]);
+    }
+    // Every remap_ entry a later cone reads is written by that cone first;
+    // only the visited marks need clearing.
+    for (LitId d : dff_order_) seen_[idx(d)] = 0;
+    for (LitId g : comb_order_) seen_[idx(g)] = 0;
+
+    Cone cone;
+    cone.output = name;
+    out.add_output(name, remap_[idx(root)]);
+    out.validate();
+    cone.hash = structural_hash(out);
+    cone.net = std::move(out);
+    return cone;
+  }
+
+ private:
+  static std::size_t idx(LitId l) { return static_cast<std::size_t>(l); }
+
+  void walk(LitId start) {
+    stack_.push_back({start, false});
+    while (!stack_.empty()) {
+      Frame f = stack_.back();
+      const GateNode& n = net_.node(f.lit);
+      if (n.op == GateOp::Input) {
+        stack_.pop_back();
+        continue;
+      }
+      if (n.op == GateOp::Dff) {
+        if (!seen_[idx(f.lit)]) {
+          seen_[idx(f.lit)] = 1;
+          dff_order_.push_back(f.lit);
+        }
+        stack_.pop_back();
+        continue;
+      }
+      if (seen_[idx(f.lit)]) {
+        stack_.pop_back();
+        continue;
+      }
+      if (!f.expanded) {
+        stack_.back().expanded = true;
+        // Push b then a so a's subtree is emitted first.
+        if (n.b >= 0) stack_.push_back({n.b, false});
+        if (n.a >= 0) stack_.push_back({n.a, false});
+        continue;
+      }
+      seen_[idx(f.lit)] = 1;
+      comb_order_.push_back(f.lit);
+      stack_.pop_back();
+    }
+  }
 
   struct Frame {
     LitId lit;
     bool expanded;
   };
-  std::vector<Frame> stack;
-  auto walk = [&](LitId start) {
-    stack.push_back({start, false});
-    while (!stack.empty()) {
-      Frame f = stack.back();
-      const GateNode& n = net.node(f.lit);
-      if (n.op == GateOp::Input) {
-        stack.pop_back();
-        continue;
-      }
-      if (n.op == GateOp::Dff) {
-        if (!seen[static_cast<std::size_t>(f.lit)]) {
-          seen[static_cast<std::size_t>(f.lit)] = 1;
-          dff_order.push_back(f.lit);
-        }
-        stack.pop_back();
-        continue;
-      }
-      if (seen[static_cast<std::size_t>(f.lit)]) {
-        stack.pop_back();
-        continue;
-      }
-      if (!f.expanded) {
-        stack.back().expanded = true;
-        // Push b then a so a's subtree is emitted first.
-        if (n.b >= 0) stack.push_back({n.b, false});
-        if (n.a >= 0) stack.push_back({n.a, false});
-        continue;
-      }
-      seen[static_cast<std::size_t>(f.lit)] = 1;
-      comb_order.push_back(f.lit);
-      stack.pop_back();
-    }
-  };
-  walk(root);
-  // dff_order grows while we iterate: each flip-flop's next-state cone may
-  // discover further flip-flops.
-  for (std::size_t k = 0; k < dff_order.size(); ++k) {
-    walk(net.node(dff_order[k]).next);
-  }
 
-  GateNetlist out;
-  std::vector<LitId> remap(net.nodes().size(), -1);
-  for (LitId in : net.inputs()) {
-    remap[static_cast<std::size_t>(in)] = out.add_input(net.node(in).name);
-  }
-  for (LitId d : dff_order) {
-    const GateNode& n = net.node(d);
-    remap[static_cast<std::size_t>(d)] = out.add_dff(n.name, n.init);
-  }
-  for (LitId g : comb_order) {
-    const GateNode& n = net.node(g);
-    LitId mapped;
-    switch (n.op) {
-      case GateOp::Const0:
-        mapped = out.add_const(false);
-        break;
-      case GateOp::Const1:
-        mapped = out.add_const(true);
-        break;
-      case GateOp::Not:
-        mapped = out.add_gate(GateOp::Not,
-                              remap[static_cast<std::size_t>(n.a)]);
-        break;
-      default:
-        mapped = out.add_gate(n.op, remap[static_cast<std::size_t>(n.a)],
-                              remap[static_cast<std::size_t>(n.b)]);
-        break;
-    }
-    remap[static_cast<std::size_t>(g)] = mapped;
-  }
-  for (LitId d : dff_order) {
-    out.set_dff_next(remap[static_cast<std::size_t>(d)],
-                     remap[static_cast<std::size_t>(net.node(d).next)]);
-  }
-  Cone cone;
-  cone.output = name;
-  out.add_output(name, remap[static_cast<std::size_t>(root)]);
-  out.validate();
-  cone.hash = structural_hash(out);
-  cone.net = std::move(out);
-  return cone;
-}
+  const GateNetlist& net_;
+  std::vector<char> seen_;
+  std::vector<LitId> remap_;
+  std::vector<Frame> stack_;
+  std::vector<LitId> dff_order_, comb_order_;
+};
 
 }  // namespace
 
@@ -404,8 +576,9 @@ std::vector<Cone> extract_cones(const GateNetlist& net) {
   net.validate();
   std::vector<Cone> cones;
   cones.reserve(net.outputs().size());
+  ConeExtractor ex(net);
   for (const auto& [name, lit] : net.outputs()) {
-    cones.push_back(extract_one(net, name, lit));
+    cones.push_back(ex.extract(name, lit));
   }
   return cones;
 }

@@ -26,15 +26,6 @@ constexpr std::size_t kHeaderBytes = 4 + 4 + 8;
 
 }  // namespace
 
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 // --- Encoder ---------------------------------------------------------------
 
 void Encoder::put_u8(std::string& out, std::uint8_t v) {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -120,10 +121,50 @@ class Decoder {
   std::vector<Term> terms_;
 };
 
-/// FNV-1a 64 over a byte range — the cache-file checksum.  Each step is a
-/// bijection on the running state, so two equal-length inputs differing
-/// anywhere hash differently; truncation is caught separately by the
-/// bounds-checked reads.
-std::uint64_t fnv1a64(std::string_view bytes);
+/// Streaming FNV-1a 64: feed bytes (or little-endian u64 words) in order,
+/// read `digest()` at the end.  Each step is a bijection on the running
+/// state, so two equal-length inputs differing anywhere hash differently.
+/// Feeding a sequence in pieces gives the same digest as feeding it whole,
+/// so a caller can hash a canonical byte walk without materialising it.
+class Fnv1a64 {
+ public:
+  Fnv1a64& byte(std::uint8_t b) {
+    h_ = (h_ ^ b) * kPrime;
+    return *this;
+  }
+  Fnv1a64& bytes(std::string_view s) {
+    for (char c : s) byte(static_cast<std::uint8_t>(c));
+    return *this;
+  }
+  Fnv1a64& u64(std::uint64_t v) {
+    // A zero byte's step is a bare multiply, so the run of zero bytes
+    // above v's highest nonzero byte folds into one multiply by a power
+    // of the prime: the same digest, with fewer serial multiplies for
+    // the small values structural walks are made of.
+    int n = 0;
+    for (; v != 0; v >>= 8, ++n) byte(static_cast<std::uint8_t>(v));
+    h_ *= kPrimePow[static_cast<std::size_t>(8 - n)];
+    return *this;
+  }
+  std::uint64_t digest() const { return h_; }
+
+ private:
+  static constexpr std::uint64_t kPrime = 0x100000001b3ULL;
+  /// kPrime^k for k = 0..8.
+  static constexpr std::array<std::uint64_t, 9> kPrimePow = [] {
+    std::array<std::uint64_t, 9> p{};
+    p[0] = 1;
+    for (std::size_t k = 1; k < p.size(); ++k) p[k] = p[k - 1] * kPrime;
+    return p;
+  }();
+
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+/// FNV-1a 64 over a byte range — the cache-file checksum.  Truncation is
+/// caught separately by the bounds-checked reads.
+inline std::uint64_t fnv1a64(std::string_view bytes) {
+  return Fnv1a64().bytes(bytes).digest();
+}
 
 }  // namespace eda::kernel

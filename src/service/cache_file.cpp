@@ -26,8 +26,10 @@ namespace {
 /// container: bump when the cache *contents* change shape — e.g. a new
 /// section — without touching the node-table wire format.  Schema 2 added
 /// the sim pre-filter provenance fields to serialized verdicts; schema 3
-/// added the failure classification byte.
-constexpr std::uint32_t kCacheSchema = 3;
+/// added the failure classification byte; schema 4 changed the key shape
+/// of hash-keyed verdicts (each 64-bit digest is one `#`-named constant,
+/// not a binary numeral), so no schema-3 entry could ever hit again.
+constexpr std::uint32_t kCacheSchema = 4;
 
 void encode_thm(kernel::Encoder& enc, const kernel::Thm& th) {
   enc.thm(th);

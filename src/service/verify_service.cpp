@@ -83,10 +83,24 @@ kernel::Term engine_bounds_term(verify::Engine eng, double timeout_sec,
 constexpr std::uint64_t kBlifKeyTag = 0xb11fULL;
 constexpr std::uint64_t kConeKeyTag = 0xc09eULL;
 
+/// A 64-bit structural digest as ONE interned node: the `num`-typed
+/// constant `#` followed by the digest's 16 hex digits.  No declared
+/// constant starts with `#`, and the node never enters an inference; it
+/// only has to identify a key through the serializer, the cache file and
+/// the daemon, all of which re-intern constants without a signature
+/// lookup.  A binary numeral would cost about 64 permanent nodes a digest.
+kernel::Term digest_term(std::uint64_t h) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string name(17, '#');
+  for (int i = 0; i < 16; ++i) name[16 - i] = kHex[(h >> (4 * i)) & 0xf];
+  return kernel::Term::constant(std::move(name), kernel::num_ty());
+}
+
+/// The verdict key of a hash-keyed obligation: (tag, (digests, bounds)).
 kernel::Term cone_key(std::uint64_t tag, const verify::ConePair& p,
                       const kernel::Term& bounds) {
   kernel::Term hashes =
-      thy::mk_pair(thy::mk_numeral(p.hash_a), thy::mk_numeral(p.hash_b));
+      thy::mk_pair(digest_term(p.hash_a), digest_term(p.hash_b));
   return thy::mk_pair(thy::mk_numeral(tag), thy::mk_pair(hashes, bounds));
 }
 
@@ -440,18 +454,10 @@ JobResult VerifyService::Impl::run_job(const JobSpec& spec) {
         // Each output cone is an independent obligation keyed on its own
         // pair of canonical cone hashes: an edit to one cone leaves every
         // other cone's key — and hence its cached verdict — untouched.
-        // Building a key interns two 64-bit numerals, per-cone work that
-        // fans out over the pool like the cheap tiers.
         pairs = verify::pair_cones(a, b);
-        std::vector<std::optional<kernel::Term>> cone_keys(pairs.size());
-        kernel::parallel_for(
-            pairs.size(),
-            [&](std::size_t i) {
-              cone_keys[i] = cone_key(kConeKeyTag, pairs[i], bounds);
-            },
-            pool);
-        for (const std::optional<kernel::Term>& k : cone_keys) {
-          keys.push_back(*k);
+        keys.reserve(pairs.size());
+        for (const verify::ConePair& p : pairs) {
+          keys.push_back(cone_key(kConeKeyTag, p, bounds));
         }
       } else {
         // The whole pair, keyed on both structural netlist hashes

@@ -1,10 +1,20 @@
 // Tests for the BLIF writer/parser and the structural Verilog writer:
 // round trips on bit-blasted circuits, hand-written SIS-style covers,
-// and the malformed-input failure modes.
+// the malformed-input failure modes, the one-pass reader against the
+// recursive reader it replaced, unbounded logic depth, and digests pinned
+// to golden values.
 
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdint>
+#include <functional>
+#include <map>
+#include <random>
+#include <set>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "bench_gen/fig2.h"
 #include "circuit/bitblast.h"
@@ -293,4 +303,582 @@ TEST(Verilog, EmitsStructuralModule) {
     ++pos;
   }
   EXPECT_EQ(regs, static_cast<std::size_t>(net.ff_count()));
+}
+
+// --- The one-pass reader against the recursive reader it replaced ----------
+
+namespace {
+
+/// The recursive reader the one-pass `io::parse_blif` replaced, kept
+/// verbatim as the differential reference: a line-by-line `getline` scan
+/// into name-keyed maps, then a recursive `std::function` resolver (one
+/// stack frame chain per level of logic depth — keep its inputs shallow).
+namespace reference {
+
+struct Cover {
+  std::vector<std::string> ins;  // input signal names
+  std::string out;
+  std::vector<std::string> rows;  // input-plane cubes
+  char out_value = '1';           // '1' = on-set cover, '0' = off-set cover
+};
+
+struct BlifDoc {
+  std::vector<std::string> inputs;
+  std::vector<std::string> outputs;
+  struct Latch {
+    std::string in, out;
+    bool init;
+  };
+  std::vector<Latch> latches;
+  std::map<std::string, Cover> covers;  // by output name
+};
+
+BlifDoc read_doc(std::istream& in) {
+  BlifDoc doc;
+  Cover* open_cover = nullptr;
+  std::string raw, line;
+  auto flush_continuations = [&](std::string s) {
+    while (!s.empty() && s.back() == '\\') {
+      s.pop_back();
+      std::string next;
+      if (std::getline(in, next)) s += next;
+    }
+    return s;
+  };
+  while (std::getline(in, raw)) {
+    line = flush_continuations(raw);
+    if (auto pos = line.find('#'); pos != std::string::npos) line.erase(pos);
+    std::istringstream ls(line);
+    std::string tok;
+    if (!(ls >> tok)) continue;
+    if (tok == ".model") {
+      // name ignored
+    } else if (tok == ".inputs") {
+      std::string s;
+      while (ls >> s) doc.inputs.push_back(s);
+      open_cover = nullptr;
+    } else if (tok == ".outputs") {
+      std::string s;
+      while (ls >> s) doc.outputs.push_back(s);
+      open_cover = nullptr;
+    } else if (tok == ".latch") {
+      BlifDoc::Latch l;
+      std::string init;
+      if (!(ls >> l.in >> l.out)) throw io::IoError("parse_blif: bad .latch");
+      std::vector<std::string> rest;
+      std::string s;
+      while (ls >> s) rest.push_back(s);
+      l.init = !rest.empty() && rest.back() == "1";
+      doc.latches.push_back(l);
+      open_cover = nullptr;
+    } else if (tok == ".names") {
+      std::vector<std::string> sig;
+      std::string s;
+      while (ls >> s) sig.push_back(s);
+      if (sig.empty()) throw io::IoError("parse_blif: .names with no signals");
+      Cover c;
+      c.out = sig.back();
+      sig.pop_back();
+      c.ins = std::move(sig);
+      if (c.ins.size() > 16) {
+        throw io::IoError("parse_blif: cover fan-in above 16 unsupported");
+      }
+      auto [it, inserted] = doc.covers.emplace(c.out, std::move(c));
+      if (!inserted) {
+        throw io::IoError("parse_blif: signal '" + it->first +
+                          "' defined twice");
+      }
+      open_cover = &it->second;
+    } else if (tok == ".end") {
+      break;
+    } else if (tok[0] == '.') {
+      throw io::IoError("parse_blif: unsupported directive '" + tok + "'");
+    } else {
+      if (open_cover == nullptr) {
+        throw io::IoError("parse_blif: cover row outside .names");
+      }
+      std::string cube, ov;
+      if (open_cover->ins.empty()) {
+        cube = "";
+        ov = tok;
+      } else {
+        cube = tok;
+        if (!(ls >> ov)) {
+          throw io::IoError("parse_blif: bad row '" + line + "'");
+        }
+        if (cube.size() != open_cover->ins.size()) {
+          throw io::IoError("parse_blif: cube width mismatch in '" + line +
+                            "'");
+        }
+      }
+      if (ov != "1" && ov != "0") {
+        throw io::IoError("parse_blif: output plane must be 0 or 1");
+      }
+      if (open_cover->rows.empty()) {
+        open_cover->out_value = ov[0];
+      } else if (open_cover->out_value != ov[0]) {
+        throw io::IoError("parse_blif: mixed on/off-set covers unsupported");
+      }
+      open_cover->rows.push_back(cube);
+    }
+  }
+  return doc;
+}
+
+GateNetlist parse_blif(std::istream& in) {
+  BlifDoc doc = read_doc(in);
+  GateNetlist net;
+  std::map<std::string, LitId> sig;
+
+  for (const std::string& s : doc.inputs) sig[s] = net.add_input(s);
+  for (const BlifDoc::Latch& l : doc.latches) {
+    sig[l.out] = net.add_dff(l.out, l.init);
+  }
+
+  std::set<std::string> in_progress;
+  std::function<LitId(const std::string&)> resolve =
+      [&](const std::string& name) -> LitId {
+    if (auto it = sig.find(name); it != sig.end()) return it->second;
+    auto cit = doc.covers.find(name);
+    if (cit == doc.covers.end()) {
+      throw io::IoError("parse_blif: undriven signal '" + name + "'");
+    }
+    if (!in_progress.insert(name).second) {
+      throw io::IoError("parse_blif: combinational cycle through '" + name +
+                        "'");
+    }
+    const Cover& c = cit->second;
+    std::vector<LitId> ins;
+    ins.reserve(c.ins.size());
+    for (const std::string& s : c.ins) ins.push_back(resolve(s));
+
+    LitId value;
+    if (c.ins.empty()) {
+      value = net.add_const(c.out_value == '1' && !c.rows.empty());
+    } else if (c.rows.empty()) {
+      value = net.add_const(false);
+    } else {
+      LitId acc = -1;
+      for (const std::string& row : c.rows) {
+        LitId cube = -1;
+        for (std::size_t k = 0; k < row.size(); ++k) {
+          if (row[k] == '-') continue;
+          LitId lit = ins[k];
+          if (row[k] == '0') lit = net.add_gate(GateOp::Not, lit);
+          cube = cube < 0 ? lit : net.add_gate(GateOp::And, cube, lit);
+        }
+        if (cube < 0) cube = net.add_const(true);
+        acc = acc < 0 ? cube : net.add_gate(GateOp::Or, acc, cube);
+      }
+      value = acc;
+      if (c.out_value == '0') value = net.add_gate(GateOp::Not, value);
+    }
+    in_progress.erase(name);
+    sig[name] = value;
+    return value;
+  };
+
+  for (const BlifDoc::Latch& l : doc.latches) {
+    net.set_dff_next(sig.at(l.out), resolve(l.in));
+  }
+  for (const std::string& o : doc.outputs) net.add_output(o, resolve(o));
+  net.validate();
+  return net;
+}
+
+}  // namespace reference
+
+GateNetlist reference_parse_blif(const std::string& text) {
+  std::istringstream in(text);
+  return reference::parse_blif(in);
+}
+
+/// A reader's answer to one text: the netlist, or the exact what().
+struct ParseOutcome {
+  bool ok = false;
+  std::string what;
+  GateNetlist net;
+};
+
+template <typename Parse>
+ParseOutcome outcome_of(Parse parse, const std::string& text) {
+  ParseOutcome o;
+  try {
+    o.net = parse(text);
+    o.ok = true;
+  } catch (const std::exception& e) {
+    o.what = e.what();
+  }
+  return o;
+}
+
+/// Node for node (op, fan-ins, next, init, name), then the input,
+/// flip-flop and output lists.
+void expect_same_netlist(const GateNetlist& want, const GateNetlist& got) {
+  ASSERT_EQ(want.nodes().size(), got.nodes().size());
+  for (std::size_t i = 0; i < want.nodes().size(); ++i) {
+    const c::GateNode& w = want.nodes()[i];
+    const c::GateNode& g = got.nodes()[i];
+    ASSERT_TRUE(w.op == g.op && w.a == g.a && w.b == g.b &&
+                w.next == g.next && w.init == g.init && w.name == g.name)
+        << "node " << i;
+  }
+  EXPECT_EQ(want.inputs(), got.inputs());
+  EXPECT_EQ(want.dffs(), got.dffs());
+  EXPECT_EQ(want.outputs(), got.outputs());
+}
+
+/// Both readers (and both entry points of the new one) on one text; the
+/// reference outcome is returned for coverage accounting.
+ParseOutcome expect_readers_agree(const std::string& text) {
+  ParseOutcome want = outcome_of(reference_parse_blif, text);
+  ParseOutcome got = outcome_of(io::parse_blif_string, text);
+  ParseOutcome streamed = outcome_of(
+      [](const std::string& t) {
+        std::istringstream in(t);
+        return io::parse_blif(in);
+      },
+      text);
+  SCOPED_TRACE("text:\n" + text);
+  EXPECT_EQ(want.ok, got.ok);
+  EXPECT_EQ(want.what, got.what);
+  EXPECT_EQ(got.ok, streamed.ok);
+  EXPECT_EQ(got.what, streamed.what);
+  if (want.ok && got.ok && streamed.ok) {
+    expect_same_netlist(want.net, got.net);
+    expect_same_netlist(got.net, streamed.net);
+  }
+  return want;
+}
+
+/// splitmix64: a portable, seeded stream for the text generator.
+struct TextRng {
+  std::uint64_t s;
+  std::uint64_t next() {
+    std::uint64_t z = (s += 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  }
+  std::size_t below(std::size_t n) {
+    return static_cast<std::size_t>(next() % n);
+  }
+  bool chance(std::size_t one_in) { return below(one_in) == 0; }
+};
+
+/// One seeded BLIF-ish text: a random model of inputs, latches, covers
+/// (forward references, don't-cares, off-sets, constants, fan-in up to
+/// 17, an output shadowing an input) and outputs, usually one injected
+/// defect, rendered with random layout: tabs, CRLF, comments, `.model`
+/// lines (one may sit inside a cover's rows), backslash continuations
+/// (one or two may end the text), text after `.end`, no `.end`, no final
+/// newline.
+std::string random_blif_text(std::uint64_t seed) {
+  TextRng rng{seed * 0x2545f4914f6cdd1dULL + 1};
+  using Line = std::vector<std::string>;
+  using Block = std::vector<Line>;  // a directive line plus its rows
+  std::vector<Block> blocks;
+
+  const std::size_t n_in = 1 + rng.below(4);
+  const std::size_t n_ff = rng.below(3);
+  const std::size_t n_cov = 1 + rng.below(6);
+  std::vector<std::string> pool;
+  auto add = [&pool](const char* stem, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      pool.push_back(stem + std::to_string(i));
+    }
+  };
+  add("x", n_in);
+  add("q", n_ff);
+  add("w", n_cov);
+  if (rng.chance(12)) pool.push_back("ghost");  // never driven
+  auto any = [&] { return pool[rng.below(pool.size())]; };
+  // Mostly backward references (acyclic), sometimes any signal at all.
+  auto fanin_of = [&](std::size_t cov) {
+    if (rng.chance(12)) return any();
+    return pool[rng.below(n_in + n_ff + cov)];
+  };
+
+  Line inputs{".inputs"};
+  for (std::size_t i = 0; i < n_in; ++i) inputs.push_back(pool[i]);
+  blocks.push_back({inputs});
+  Line outputs{".outputs"};
+  for (std::size_t k = 1 + rng.below(3); k > 0; --k) outputs.push_back(any());
+  blocks.push_back({outputs});
+  const char* inits[] = {"0", "1", "2", "3"};
+  for (std::size_t i = 0; i < n_ff; ++i) {
+    Line l{".latch", any(), pool[n_in + i]};
+    if (!rng.chance(5)) l.push_back(inits[rng.below(4)]);
+    blocks.push_back({l});
+  }
+  for (std::size_t i = 0; i < n_cov; ++i) {
+    std::size_t fan = rng.below(5);
+    if (rng.chance(25)) fan = 16 + rng.below(2);  // at and over the limit
+    Line head{".names"};
+    for (std::size_t k = 0; k < fan; ++k) head.push_back(fanin_of(i));
+    // Now and then a cover drives an input name instead (and is shadowed).
+    head.push_back(rng.chance(15) ? pool[rng.below(n_in)]
+                                  : pool[n_in + n_ff + i]);
+    Block b{head};
+    const char ov = rng.chance(4) ? '0' : '1';
+    for (std::size_t r = rng.below(4); r > 0; --r) {
+      std::string cube;
+      for (std::size_t k = 0; k < fan; ++k) cube.push_back("01-"[rng.below(3)]);
+      b.push_back(fan == 0 ? Line{std::string(1, ov)}
+                           : Line{cube, std::string(1, ov)});
+    }
+    blocks.push_back(b);
+  }
+
+  // Usually one defect, drawn from every way a text can be rejected.
+  auto some_cover = [&]() -> Block& {
+    return blocks[blocks.size() - 1 - rng.below(n_cov)];
+  };
+  switch (rng.below(30)) {
+    case 0:  // defined twice
+      blocks.push_back({{".names", pool[0], pool[n_in + n_ff]}, {"1", "1"}});
+      break;
+    case 1:
+      blocks.push_back({{rng.chance(2) ? ".subckt" : ".gate", "and2", "a=x0"}});
+      break;
+    case 2:  // row outside .names
+      blocks.insert(blocks.begin() + 1, Block{{"1", "1"}});
+      break;
+    case 3: {  // bad row: a cube without its output plane
+      Block& b = some_cover();
+      if (b[0].size() > 2) b.push_back({std::string(b[0].size() - 2, '1')});
+      break;
+    }
+    case 4: {  // cube width mismatch
+      Block& b = some_cover();
+      b.push_back({std::string(b[0].size(), '1'), "1"});
+      break;
+    }
+    case 5: {  // output plane not 0/1
+      Block& b = some_cover();
+      b.push_back(b[0].size() > 2 ? Line{std::string(b[0].size() - 2, '-'), "2"}
+                                  : Line{"x"});
+      break;
+    }
+    case 6: {  // mixed on/off-set
+      Block& b = some_cover();
+      std::string cube(b[0].size() - 2, '1');
+      b.push_back(cube.empty() ? Line{"1"} : Line{cube, "1"});
+      b.push_back(cube.empty() ? Line{"0"} : Line{cube, "0"});
+      break;
+    }
+    case 7:
+      blocks.push_back({{".latch", any()}});
+      break;
+    case 8:
+      blocks.push_back({{".names"}});
+      break;
+    case 9: {  // a combinational cycle the outputs reach
+      blocks.push_back({{".names", "cyc_b", "cyc_a"}, {"1", "1"}});
+      blocks.push_back({{".names", "cyc_a", "cyc_b"}, {"0", "1"}});
+      blocks[1][0].push_back("cyc_a");
+      break;
+    }
+    case 10:  // an output nothing drives
+      blocks[1][0].push_back("nowhere");
+      break;
+    case 11:  // duplicated latch output
+      if (n_ff > 0) blocks.push_back({{".latch", any(), pool[n_in], "0"}});
+      break;
+    default:
+      break;
+  }
+  // Shuffle the directive blocks after the first two a little.
+  for (std::size_t i = blocks.size(); i > 3; --i) {
+    if (rng.chance(3)) std::swap(blocks[i - 1], blocks[2 + rng.below(i - 2)]);
+  }
+
+  const std::string nl = rng.chance(4) ? "\r\n" : "\n";
+  const char* seps[] = {" ", "  ", "\t", " \t"};
+  std::string out;
+  auto emit = [&](const Line& line) {
+    if (rng.chance(10)) out += seps[rng.below(4)];
+    for (std::size_t k = 0; k < line.size(); ++k) {
+      if (k > 0) {
+        // A continuation splits the line between two tokens.
+        if (rng.chance(nl.size() == 1 ? 12 : 40)) out += " \\" + nl;
+        out += seps[rng.below(4)];
+      }
+      out += line[k];
+    }
+    if (rng.chance(8)) out += " # note \\ .names";
+    out += nl;
+  };
+  if (!rng.chance(4)) emit({".model", "m" + std::to_string(seed)});
+  for (const Block& b : blocks) {
+    if (rng.chance(10)) out += nl;                   // blank line
+    if (rng.chance(10)) out += "# comment line" + nl;
+    for (std::size_t r = 0; r < b.size(); ++r) {
+      if (r == 1 && rng.chance(20)) emit({".model", "inner"});
+      emit(b[r]);
+    }
+  }
+  switch (rng.below(6)) {
+    case 0:
+      break;  // no .end
+    case 1:
+      out += ".end" + nl + ".bogus after end" + nl;
+      break;
+    case 2:
+      out += ".end";  // no final newline
+      break;
+    case 3:
+      out += ".end \\";  // a continuation on the last line
+      break;
+    default:
+      out += ".end" + nl;
+      break;
+  }
+  if (rng.chance(8) && !out.empty() && out.back() == '\n') {
+    out.pop_back();  // drop the final newline (and keep a lone CR)
+  }
+  if (rng.chance(10)) out += rng.chance(2) ? "\\" : "\\\\";
+  return out;
+}
+
+}  // namespace
+
+TEST(BlifReader, MatchesReferenceOnWrittenNetlists) {
+  using eda::testlib::ConeEdit;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const int ins = 1 + static_cast<int>(seed % 5);
+    const int gates = 8 + static_cast<int>(seed * 7 % 60);
+    const int ffs = static_cast<int>(seed % 4);
+    const int outs = 1 + static_cast<int>(seed % 6);
+    GateNetlist net =
+        eda::testlib::random_netlist_multi(seed, ins, gates, ffs, outs);
+    ParseOutcome once = expect_readers_agree(io::write_blif(net, "m"));
+    ASSERT_TRUE(once.ok) << once.what;
+    expect_readers_agree(io::write_blif(once.net, "m"));
+    for (ConeEdit e : {ConeEdit::Equivalent, ConeEdit::EquivalentOpaque,
+                       ConeEdit::Different}) {
+      GateNetlist edited = eda::testlib::mutate_cone(
+          net, static_cast<std::size_t>(seed) % net.outputs().size(), e);
+      EXPECT_TRUE(expect_readers_agree(io::write_blif(edited, "e")).ok);
+    }
+  }
+}
+
+TEST(BlifReader, MatchesReferenceOnSeededTextVariants) {
+  std::map<std::string, int> rejected;  // message (sans names) -> count
+  int parsed = 0;
+  for (std::uint64_t seed = 0; seed < 1500; ++seed) {
+    ParseOutcome o = expect_readers_agree(random_blif_text(seed));
+    if (HasFailure()) FAIL() << "first disagreement at seed " << seed;
+    if (o.ok) {
+      ++parsed;
+    } else {
+      ++rejected[o.what.substr(0, o.what.find('\''))];
+    }
+  }
+  // The generator must reach both outcomes and every rejection.
+  EXPECT_GT(parsed, 400);
+  for (const char* msg :
+       {"parse_blif: cover fan-in above 16 unsupported",
+        "parse_blif: .names with no signals", "parse_blif: signal ",
+        "parse_blif: unsupported directive ",
+        "parse_blif: cover row outside .names", "parse_blif: bad row ",
+        "parse_blif: cube width mismatch in ",
+        "parse_blif: output plane must be 0 or 1",
+        "parse_blif: mixed on/off-set covers unsupported",
+        "parse_blif: bad .latch", "parse_blif: undriven signal ",
+        "parse_blif: combinational cycle through ",
+        "GateNetlist: DFF without next"}) {
+    EXPECT_GT(rejected[msg], 0) << msg;
+  }
+}
+
+TEST(BlifReader, MatchesReferenceOnEveryError) {
+  const std::string head = ".model e\n.inputs a b\n.outputs y\n";
+  std::string seventeen = ".names";
+  for (int i = 0; i < 17; ++i) seventeen += " a";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {head + seventeen + " y\n" + std::string(17, '1') + " 1\n",
+       "parse_blif: cover fan-in above 16 unsupported"},
+      {head + ".names\n", "parse_blif: .names with no signals"},
+      {head + ".names a y\n1 1\n.names b y\n1 1\n",
+       "parse_blif: signal 'y' defined twice"},
+      {head + ".subckt and2 A=a\n",
+       "parse_blif: unsupported directive '.subckt'"},
+      {head + "1 1\n", "parse_blif: cover row outside .names"},
+      {head + ".names a b y\n11\t# no output plane\n",
+       "parse_blif: bad row '11\t'"},
+      {head + ".names a b y\n1 1\r\n",
+       "parse_blif: cube width mismatch in '1 1\r'"},
+      {head + ".names a y\n1 x\n", "parse_blif: output plane must be 0 or 1"},
+      {head + ".names a y\n1 1\n0 0\n",
+       "parse_blif: mixed on/off-set covers unsupported"},
+      {head + ".latch a\n", "parse_blif: bad .latch"},
+      {head + ".names a z y\n11 1\n", "parse_blif: undriven signal 'z'"},
+      {head + ".names u y\n1 1\n.names y u\n1 1\n",
+       "parse_blif: combinational cycle through 'y'"},
+      {".inputs a\n.outputs q\n.latch a q 0\n.latch a q 1\n",
+       "GateNetlist: DFF without next"},
+  };
+  for (const auto& [text, what] : cases) {
+    ParseOutcome o = expect_readers_agree(text);
+    EXPECT_FALSE(o.ok);
+    EXPECT_EQ(o.what, what);
+  }
+  // Fan-in 16 is still accepted.
+  std::string sixteen = ".names";
+  for (int i = 0; i < 16; ++i) sixteen += i % 2 ? " a" : " b";
+  EXPECT_TRUE(
+      expect_readers_agree(head + sixteen + " y\n" + std::string(16, '-') +
+                           " 1\n")
+          .ok);
+}
+
+TEST(BlifReader, DeepChainHasNoDepthLimit) {
+  // The recursive reader spent one chain of stack frames per level of
+  // logic and overflowed an 8 MB stack near 60,000 levels.
+  const int kDepth = 200000;
+  GateNetlist chain = eda::testlib::inverter_chain(kDepth);
+  std::istringstream in(io::write_blif(chain, "chain"));
+  GateNetlist back = io::parse_blif(in);
+  EXPECT_EQ(back.nodes().size(), chain.nodes().size());
+  EXPECT_EQ(io::structural_hash(back), io::structural_hash(chain));
+  std::vector<io::Cone> cones = io::extract_cones(back);
+  ASSERT_EQ(cones.size(), 1u);
+  EXPECT_EQ(cones[0].hash, io::structural_hash(chain));
+}
+
+TEST(ConeHash, DigestsMatchGoldenValues) {
+  // Recorded from the digest's original byte-string implementation: the
+  // streamed FNV-1a must never move a cache key.  Each netlist is pinned
+  // in memory and after one BLIF round trip, whole and per cone.
+  struct Golden {
+    GateNetlist net;
+    std::uint64_t whole;
+    std::vector<std::uint64_t> cones;
+  };
+  GateNetlist fig2 = c::bit_blast(eda::bench_gen::make_fig2(3).rtl);
+  GateNetlist rnd = eda::testlib::random_netlist_multi(0x601d, 5, 60, 4, 6);
+  const std::vector<Golden> golden = {
+      {fig2,
+       0xa83d9145dd5acb84ULL,
+       {0xebbebe3d219bf77dULL, 0xe725033677a2b0c3ULL, 0x8811d26d4d1c9689ULL}},
+      {io::parse_blif_string(io::write_blif(fig2, "m")),
+       0x130645e11a36102aULL,
+       {0x38c7994586227fd1ULL, 0x5dbf5ffc9b1f1253ULL, 0xc2c2a5c44a0334e0ULL}},
+      {rnd,
+       0x38b79c33b859b3a3ULL,
+       {0xbc427932f747a4b1ULL, 0x1012459abed8a0ceULL, 0x7ee3ef01233655a9ULL,
+        0x50950660ad1d8913ULL, 0x2b36799e03550868ULL, 0x53e3f1508f31f52dULL}},
+      {io::parse_blif_string(io::write_blif(rnd, "m")),
+       0xa532bdcb0d698d69ULL,
+       {0x90b2e26732f5b7fdULL, 0x961b792ca697bfb3ULL, 0xe4c492da05289b14ULL,
+        0x2d0ac0a85a1466e1ULL, 0x197f0c798583643cULL, 0xb636c1106dfbfbe7ULL}},
+  };
+  for (std::size_t i = 0; i < golden.size(); ++i) {
+    SCOPED_TRACE("netlist " + std::to_string(i));
+    EXPECT_EQ(io::structural_hash(golden[i].net), golden[i].whole);
+    EXPECT_EQ(io::cone_hashes(golden[i].net), golden[i].cones);
+  }
 }

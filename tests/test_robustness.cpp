@@ -360,6 +360,36 @@ TEST_F(FaultTest, FaultsClearedTheSameJobCompletesEquiv) {
   EXPECT_EQ(r.attempts, 1);
 }
 
+// --- Unbounded logic depth -------------------------------------------------
+
+TEST(DeepNetlist, ChainPairsGetVerdictsNotCrashes) {
+  // One stack frame chain per level of logic used to overflow the reader
+  // near 60,000 levels and take the whole service down with SIGSEGV.
+  const int kDepth = 200000;
+  std::string pa = temp_path("deep_a.blif");
+  std::string pb = temp_path("deep_b.blif");
+  std::ofstream(pa) << eda::io::write_blif(
+      eda::testlib::inverter_chain(kDepth), "a");
+  std::ofstream(pb) << eda::io::write_blif(
+      eda::testlib::inverter_chain(kDepth + 1), "b");
+  for (bool incremental : {false, true}) {
+    SCOPED_TRACE(incremental ? "incremental" : "whole pair");
+    svc::ServiceOptions opts = sopts(1);
+    opts.incremental = incremental;
+    svc::VerifyService service(opts);
+    svc::JobResult same =
+        service.run_one(job("blif:" + pa + "," + pa, svc::Method::Eijk));
+    ASSERT_TRUE(same.ok) << same.error;
+    EXPECT_EQ(same.verdict, svc::VerdictClass::Equiv);
+    svc::JobResult longer =
+        service.run_one(job("blif:" + pa + "," + pb, svc::Method::Eijk));
+    ASSERT_TRUE(longer.ok) << longer.error;
+    EXPECT_EQ(longer.verdict, svc::VerdictClass::Nonequiv);
+  }
+  std::remove(pa.c_str());
+  std::remove(pb.c_str());
+}
+
 // --- Admission queue -------------------------------------------------------
 
 TEST(Admission, DispatchIsPriorityOrderedFifoWithinLevel) {

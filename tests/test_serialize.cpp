@@ -141,6 +141,40 @@ TEST(Serialize, MixedPayloadScalars) {
   EXPECT_TRUE(dec.at_end());
 }
 
+TEST(Fnv1a64, StreamedWordsHashLikeTheirBytes) {
+  // u64() folds the zero bytes above a word's highest nonzero byte into
+  // one multiply; the digest must equal FNV-1a over the 8 little-endian
+  // bytes, including zero bytes between nonzero ones.
+  std::vector<std::uint64_t> words = {0,
+                                      1,
+                                      0xff,
+                                      0x100,
+                                      0x10001,
+                                      0xff00ff00ULL,
+                                      1ULL << 56,
+                                      ~0ULL,
+                                      0x0123456789abcdefULL};
+  std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+  for (int i = 0; i < 64; ++i) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    words.push_back(x >> (i % 64));
+  }
+  std::string bytes;
+  k::Fnv1a64 streamed;
+  for (std::uint64_t w : words) {
+    std::string one;
+    for (int b = 0; b < 8; ++b) one.push_back(static_cast<char>(w >> (8 * b)));
+    EXPECT_EQ(k::Fnv1a64().u64(w).digest(), k::fnv1a64(one)) << w;
+    bytes += one;
+    streamed.u64(w);
+  }
+  EXPECT_EQ(streamed.digest(), k::fnv1a64(bytes));
+  // The published FNV-1a 64 test vectors.
+  EXPECT_EQ(k::fnv1a64(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(k::fnv1a64("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(k::fnv1a64("foobar"), 0x85944171f73967e8ULL);
+}
+
 // --- Theorems --------------------------------------------------------------
 
 TEST(Serialize, ThmRoundTripPreservesEverything) {

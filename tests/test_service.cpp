@@ -581,6 +581,42 @@ TEST(IncrementalService, NoSharedCacheStillStitchesWithoutCaching) {
   std::remove(pb.c_str());
 }
 
+TEST(IncrementalService, DigestKeysInternAFewNodesPerCone) {
+  // Each verdict key carries its two 64-bit cone digests as one interned
+  // node apiece; as binary numerals they cost about 64 permanent term
+  // nodes each.  After one warm-up job has interned the shared key parts
+  // (tags, bounds), a fresh 16-cone pair with one edited cone may add at
+  // most 10 live nodes per cone.
+  using eda::testlib::ConeEdit;
+  const int kCones = 16;
+  auto pair_of = [](std::uint64_t seed, const std::string& stem) {
+    eda::circuit::GateNetlist a =
+        eda::testlib::random_netlist_multi(seed, 6, 90, 3, kCones);
+    eda::circuit::GateNetlist b =
+        eda::testlib::mutate_cone(a, 5, ConeEdit::EquivalentOpaque);
+    return "blif:" + write_blif_file(a, stem + "_a") + "," +
+           write_blif_file(b, stem + "_b");
+  };
+  const std::string warm = pair_of(0x3a1, "keys_warm");
+  const std::string fresh = pair_of(0x3a2, "keys_fresh");
+  svc::VerifyService service(inc_opts());
+  svc::JobResult w = service.run_one(job(warm, svc::Method::Eijk));
+  ASSERT_TRUE(w.ok) << w.error;
+  const std::size_t before = k::Term::intern_stats().live_nodes;
+  svc::JobResult r = service.run_one(job(fresh, svc::Method::Eijk));
+  const std::size_t grown = k::Term::intern_stats().live_nodes - before;
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_TRUE(r.equivalent);
+  EXPECT_EQ(r.cones, static_cast<std::size_t>(kCones));
+  EXPECT_LE(grown, static_cast<std::size_t>(10 * kCones));
+  for (const std::string& spec : {warm, fresh}) {
+    const std::string files = spec.substr(5);
+    const std::size_t comma = files.find(',');
+    std::remove(files.substr(0, comma).c_str());
+    std::remove(files.substr(comma + 1).c_str());
+  }
+}
+
 // --- JSON output -----------------------------------------------------------
 
 TEST(ServiceJson, ShapeAndEscaping) {

@@ -260,4 +260,14 @@ circuit::GateNetlist mutate_cone(const circuit::GateNetlist& net,
   return out;
 }
 
+circuit::GateNetlist inverter_chain(int depth) {
+  circuit::GateNetlist net;
+  circuit::LitId l = net.add_input("x");
+  for (int i = 0; i < depth; ++i) {
+    l = net.add_gate(circuit::GateOp::Not, l);
+  }
+  net.add_output("y", l);
+  return net;
+}
+
 }  // namespace eda::testlib

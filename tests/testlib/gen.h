@@ -107,4 +107,9 @@ enum class ConeEdit { Equivalent, EquivalentOpaque, Different };
 circuit::GateNetlist mutate_cone(const circuit::GateNetlist& net,
                                  std::size_t output_idx, ConeEdit edit);
 
+/// `depth` inverters in a chain from input "x" to output "y": the
+/// deepest netlist per node, for tests that logic depth never reaches
+/// the call stack.
+circuit::GateNetlist inverter_chain(int depth);
+
 }  // namespace eda::testlib

@@ -24,6 +24,12 @@ different output than the generator's first edit.  But a sim-refuted
 NONEQUIV verdict with no concrete counterexample is a reporting bug and
 fails.
 
+One fixed case rides along: a DEEP_CHAIN-level inverter chain against
+itself (EQUIV) and against a chain one inverter longer (NONEQUIV), under
+the same engines and configurations.  It pins that logic depth is bounded
+by memory, never by a call stack: a reader that recursed per level died
+with SIGSEGV on it.
+
 On failure the case's BLIFs, manifest and all service JSON land in
 --out-dir (uploaded as a CI artifact); the printed seed reproduces the
 case exactly:
@@ -50,6 +56,7 @@ CONFIGS = [
     ("inc_nosim", ["--incremental", "--no-sim"]),
 ]
 DEFAULT_SEED_BASE = 0x5EEDF17E
+DEEP_CHAIN = 100000
 
 
 def run_case(build, case_dir, seed, edit, timeout):
@@ -77,6 +84,16 @@ def run_case(build, case_dir, seed, edit, timeout):
 
     with open(os.path.join(case_dir, "pair.manifest")) as f:
         manifest = f.read().split()
+    failures += run_engines(build, case_dir, manifest, expect_equiv,
+                            timeout, artifacts)
+    return (failures, artifacts)
+
+
+def run_engines(build, case_dir, manifest, expect_equiv, timeout,
+                artifacts):
+    """Run one pair manifest under every engine and configuration; returns
+    the failures and appends the files worth keeping to artifacts."""
+    failures = []
     runs = []
     for engine in ENGINES:
         stem = engine.replace("+", "plus")
@@ -133,6 +150,36 @@ def run_case(build, case_dir, seed, edit, timeout):
             failures.append(
                 f"[{tag}] sim-refuted verdict carries no concrete "
                 f"counterexample")
+    return failures
+
+
+def write_chain(path, depth):
+    """BLIF of `depth` inverters from input x to output y."""
+    lines = [".model chain", ".inputs x", ".outputs y"]
+    prev = "x"
+    for i in range(depth):
+        lines += [f".names {prev} n{i}", "0 1"]
+        prev = f"n{i}"
+    lines += [f".names {prev} y", "1 1", ".end", ""]
+    with open(path, "w") as f:
+        f.write("\n".join(lines))
+
+
+def run_deep_case(build, case_dir, timeout):
+    """The fixed deep-chain case: (failures, artifacts)."""
+    os.makedirs(case_dir, exist_ok=True)
+    a = os.path.join(case_dir, "chain.blif")
+    b = os.path.join(case_dir, "chain_plus1.blif")
+    write_chain(a, DEEP_CHAIN)
+    write_chain(b, DEEP_CHAIN + 1)
+    failures, artifacts = [], []
+    for sub, other, expect_equiv in (("same", a, True),
+                                     ("longer", b, False)):
+        sub_dir = os.path.join(case_dir, sub)
+        os.makedirs(sub_dir, exist_ok=True)
+        manifest = [f"blif:{a},{other}", "eijk", "timeout=60", "name=deep"]
+        failures += [f"{sub} {f}" for f in run_engines(
+            build, sub_dir, manifest, expect_equiv, timeout, artifacts)]
     return (failures, artifacts)
 
 
@@ -191,16 +238,36 @@ def main():
                     print(f"     {f}")
             else:
                 print(f"ok   seed={seed} edit={edit}")
+        # Chain files are regenerated by this script, so a failure keeps
+        # only the service JSON.
+        case_dir = os.path.join(tmp, "deep_chain")
+        failures, artifacts = run_deep_case(args.build_dir, case_dir,
+                                            args.timeout)
+        if failures:
+            failed_seeds.append(("deep_chain", DEEP_CHAIN))
+            keep = os.path.join(args.out_dir, "deep_chain")
+            os.makedirs(keep, exist_ok=True)
+            for path in artifacts:
+                if path.endswith(".json") and os.path.exists(path):
+                    shutil.copy(path, os.path.join(
+                        keep, os.path.basename(os.path.dirname(path)) + "_" +
+                        os.path.basename(path)))
+            print(f"FAIL deep_chain depth={DEEP_CHAIN}  (JSON in {keep})")
+            for f in failures:
+                print(f"     {f}")
+        else:
+            print(f"ok   deep_chain depth={DEEP_CHAIN}")
 
     if failed_seeds:
-        print(f"\nfuzz_service: {len(failed_seeds)}/{args.cases} cases "
+        print(f"\nfuzz_service: {len(failed_seeds)}/{args.cases + 1} cases "
               f"FAILED: " +
               ", ".join(f"{s} ({e})" for s, e in failed_seeds))
         print("reproduce one with: "
               f"{args.build_dir}/make_fuzz_pair --dir repro "
               f"--seed <seed> --edit <edit>")
         return 1
-    print(f"fuzz_service: all {args.cases} cases agree with ground truth")
+    print(f"fuzz_service: all {args.cases} cases and the deep chain agree "
+          f"with ground truth")
     return 0
 
 
