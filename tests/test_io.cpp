@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <random>
 #include <set>
 #include <sstream>
 #include <string>
