@@ -289,14 +289,12 @@ int main(int argc, char** argv) {
   }
   // Remote leg: the fleet scenario — an incremental cone sweep against an
   // embedded eda_cached daemon, measuring REMOTE ROUND TRIPS per job.
-  // Cold, the batched client must issue exactly one LookupBatch and one
-  // PublishBatch for the whole decomposition (<= 2 exchanges); warm, one
-  // LookupBatch serves every cone.  The same warm replay with batching
-  // off shows the per-entry chattiness the v2 frames collapse — their
-  // ratio is the machine-independent regression metric.
+  // Cold, the client issues one LookupBatch and one PublishBatch for the
+  // whole decomposition (<= 2 exchanges); warm, one LookupBatch serves
+  // every cone (exactly 1).  Both are absolute counts, independent of
+  // machine speed.
   const int kRemoteCones = 12;
-  std::uint64_t remote_cold_rts = 0, remote_warm_rts = 0,
-                remote_perentry_rts = 0;
+  std::uint64_t remote_cold_rts = 0, remote_warm_rts = 0;
   bool remote_ok = false;
   {
     using eda::testlib::ConeEdit;
@@ -327,17 +325,13 @@ int main(int argc, char** argv) {
     rjob.circuit = "blif:" + ra_path + "," + rb_path;
     rjob.method = eda::service::Method::Eijk;
     rjob.timeout_sec = 60.0;
-    auto remote_opts = [&](bool batch) {
-      eda::service::ServiceOptions o;
-      o.jobs = jobs;
-      o.incremental = true;
-      o.cache.server = "unix:" + sock;
-      o.cache.remote_pool = 4;
-      o.cache.remote_batch = batch;
-      return o;
-    };
-    auto run_remote = [&](bool batch, std::uint64_t* rts) {
-      eda::service::VerifyService svc(remote_opts(batch));
+    eda::service::ServiceOptions ropts;
+    ropts.jobs = jobs;
+    ropts.incremental = true;
+    ropts.cache.server = "unix:" + sock;
+    ropts.cache.remote_pool = 4;
+    auto run_remote = [&](std::uint64_t* rts) {
+      eda::service::VerifyService svc(ropts);
       std::uint64_t rt0 = svc.stats().remote_round_trips;
       eda::service::JobResult r = svc.run_one(rjob);
       eda::service::ServiceStats st = svc.stats();
@@ -346,28 +340,21 @@ int main(int argc, char** argv) {
              st.remote_failures == 0 &&
              r.cones == static_cast<std::size_t>(kRemoteCones);
     };
-    // Cold fills the daemon; the two warm replays (batched, then
-    // per-entry) must serve every cone from it with identical verdicts.
-    bool cold_ok = run_remote(true, &remote_cold_rts);
-    bool warm_ok = run_remote(true, &remote_warm_rts);
-    bool perentry_ok = run_remote(false, &remote_perentry_rts);
-    remote_ok = cold_ok && warm_ok && perentry_ok;
+    // Cold fills the daemon; the warm replay must serve every cone from
+    // it with identical verdicts.
+    bool cold_ok = run_remote(&remote_cold_rts);
+    bool warm_ok = run_remote(&remote_warm_rts);
+    remote_ok = cold_ok && warm_ok;
     if (!remote_ok) {
       std::fprintf(stderr,
-                   "bench_service: remote leg failed (cold %d, warm %d, "
-                   "per-entry %d)\n",
-                   cold_ok, warm_ok, perentry_ok);
+                   "bench_service: remote leg failed (cold %d, warm %d)\n",
+                   cold_ok, warm_ok);
     }
     std::remove(ra_path.c_str());
     std::remove(rb_path.c_str());
     daemon.stop();
     std::remove(sock.c_str());
   }
-  double remote_rt_reduction =
-      remote_warm_rts > 0 ? static_cast<double>(remote_perentry_rts) /
-                                static_cast<double>(remote_warm_rts)
-                          : 0.0;
-
   // Exactly one cone was edited by construction, so the other cones - 1
   // are unchanged; a rate below 1.0 means a hash-stability bug forced an
   // unchanged cone back to the engine.
@@ -407,13 +394,9 @@ int main(int argc, char** argv) {
       "cold %.3f s -> replay %.3f s (%.1fx)\n",
       edit_cones, edit_reproved, edit_unchanged_hit_rate, edit_cold_sec,
       edit_replay_sec, edit_speedup);
-  std::printf(
-      "  remote: %d cones, round trips cold %llu / warm %llu / per-entry "
-      "%llu (batching cuts warm traffic %.1fx)\n",
-      kRemoteCones, static_cast<unsigned long long>(remote_cold_rts),
-      static_cast<unsigned long long>(remote_warm_rts),
-      static_cast<unsigned long long>(remote_perentry_rts),
-      remote_rt_reduction);
+  std::printf("  remote: %d cones, round trips cold %llu / warm %llu\n",
+              kRemoteCones, static_cast<unsigned long long>(remote_cold_rts),
+              static_cast<unsigned long long>(remote_warm_rts));
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
@@ -468,8 +451,6 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(remote_cold_rts));
   std::fprintf(f, "  \"remote_warm_round_trips\": %llu,\n",
                static_cast<unsigned long long>(remote_warm_rts));
-  std::fprintf(f, "  \"remote_perentry_round_trips\": %llu,\n",
-               static_cast<unsigned long long>(remote_perentry_rts));
   // Ratio metrics for the bench_compare.py regression gate
   // (--section service_metrics --higher-is-better): machine-speed
   // independent, so one committed baseline holds across runners.
@@ -478,9 +459,7 @@ int main(int argc, char** argv) {
                serial_tp > 0 ? batched_tp / serial_tp : 0.0);
   std::fprintf(f, "    \"warm_vs_cold_ratio\": %.3f,\n",
                warm_sec > 0 ? batched_sec / warm_sec : 0.0);
-  std::fprintf(f, "    \"edit_speedup\": %.3f,\n", edit_speedup);
-  std::fprintf(f, "    \"remote_batch_rt_reduction\": %.3f\n",
-               remote_rt_reduction);
+  std::fprintf(f, "    \"edit_speedup\": %.3f\n", edit_speedup);
   std::fprintf(f, "  },\n");
   // Absolute wall times for the lower-is-better gate (--section
   // service_seconds).  A ratio alone moves the wrong way when its
@@ -530,25 +509,15 @@ int main(int argc, char** argv) {
                    edit_speedup, edit_cold_sec, edit_replay_sec);
       return 1;
     }
-    // The pipelined-I/O acceptance gate: a batched incremental sweep is
-    // at most TWO remote exchanges per job (one lookup frame, one publish
-    // frame), warm or cold, and batching beats per-entry traffic.
-    if (!remote_ok || remote_cold_rts > 2 || remote_warm_rts > 2) {
+    // The pipelined-I/O acceptance gate: an incremental sweep is one
+    // lookup frame plus, cold, one publish frame — exactly 1 remote
+    // exchange warm and at most 2 cold, whatever the cone count.
+    if (!remote_ok || remote_cold_rts > 2 || remote_warm_rts != 1) {
       std::fprintf(stderr,
                    "bench_service: --check: remote leg used %llu cold / "
-                   "%llu warm round trips for one job, expected <= 2 "
-                   "each\n",
+                   "%llu warm round trips for one job, expected <= 2 cold "
+                   "and exactly 1 warm\n",
                    static_cast<unsigned long long>(remote_cold_rts),
-                   static_cast<unsigned long long>(remote_warm_rts));
-      return 1;
-    }
-    if (remote_rt_reduction < 4.0) {
-      std::fprintf(stderr,
-                   "bench_service: --check: batching cut warm remote "
-                   "traffic only %.1fx (per-entry %llu vs batched %llu), "
-                   "expected >= 4x\n",
-                   remote_rt_reduction,
-                   static_cast<unsigned long long>(remote_perentry_rts),
                    static_cast<unsigned long long>(remote_warm_rts));
       return 1;
     }

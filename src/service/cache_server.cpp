@@ -36,9 +36,6 @@ struct StoreShard {
 struct CacheServer::Impl {
   explicit Impl(CacheServerOptions opts_) : opts(std::move(opts_)) {
     if (opts.shards == 0) opts.shards = 1;
-    opts.max_proto_version =
-        std::clamp(opts.max_proto_version, kRemoteProtoMinVersion,
-                   kRemoteProtoVersion);
     shards.reserve(opts.shards);
     for (std::size_t i = 0; i < opts.shards; ++i) {
       shards.push_back(std::make_unique<StoreShard>());
@@ -97,19 +94,14 @@ struct CacheServer::Impl {
 
 std::string CacheServer::Impl::handle_request(const std::string& request) {
   kernel::Encoder reply;
+  reply.u32(kRemoteProtoVersion);
   try {
     kernel::Decoder dec(request);
     std::uint32_t version = dec.u32();
-    // Replies echo the request's version so v1 clients keep parsing a v2
-    // daemon's answers; a FUTURE client's version is answered at ours.
-    reply.u32(std::min(version, opts.max_proto_version));
-    if (version < kRemoteProtoMinVersion ||
-        version > opts.max_proto_version) {
-      reply.u8(static_cast<std::uint8_t>(RemoteStatus::Error));
-      reply.str("protocol version skew (client " + std::to_string(version) +
-                ", daemon " + std::to_string(opts.max_proto_version) + ")");
-      bad_requests.fetch_add(1, std::memory_order_relaxed);
-      return reply.finish();
+    if (version != kRemoteProtoVersion) {
+      throw RemoteCacheError("protocol version " + std::to_string(version) +
+                             ", daemon speaks " +
+                             std::to_string(kRemoteProtoVersion));
     }
     RemoteOp op = static_cast<RemoteOp>(dec.u8());
     std::string tenant = dec.str();
@@ -118,60 +110,9 @@ std::string CacheServer::Impl::handle_request(const std::string& request) {
       tenants.insert(tenant);
     }
     switch (op) {
-      case RemoteOp::Ping: {
+      case RemoteOp::Ping:
         reply.u8(static_cast<std::uint8_t>(RemoteStatus::Ok));
-        // Version advertisement: v1 clients never read the Ping body, so
-        // appending it is backward-compatible; its absence is how clients
-        // recognise a v1 daemon.
-        if (opts.max_proto_version >= kRemoteProtoBatchVersion) {
-          reply.u32(opts.max_proto_version);
-        }
         break;
-      }
-      case RemoteOp::LookupThm: {
-        kernel::Term goal = dec.term();
-        lookups.fetch_add(1, std::memory_order_relaxed);
-        if (auto v = shard_for(goal).theorems.find(goal)) {
-          lookup_hits.fetch_add(1, std::memory_order_relaxed);
-          reply.u8(static_cast<std::uint8_t>(RemoteStatus::Ok));
-          reply.thm(*v);
-        } else {
-          reply.u8(static_cast<std::uint8_t>(RemoteStatus::NotFound));
-        }
-        break;
-      }
-      case RemoteOp::PublishThm: {
-        kernel::Term goal = dec.term();
-        kernel::Thm th = dec.thm();
-        publishes.fetch_add(1, std::memory_order_relaxed);
-        bool inserted =
-            shard_for(goal).theorems.emplace(goal, std::move(th)).second;
-        reply.u8(static_cast<std::uint8_t>(RemoteStatus::Ok));
-        reply.u8(inserted ? 1 : 0);
-        break;
-      }
-      case RemoteOp::LookupVerdict: {
-        kernel::Term key = dec.term();
-        lookups.fetch_add(1, std::memory_order_relaxed);
-        if (auto v = shard_for(key).verdicts.find(key)) {
-          lookup_hits.fetch_add(1, std::memory_order_relaxed);
-          reply.u8(static_cast<std::uint8_t>(RemoteStatus::Ok));
-          encode_verdict(reply, *v);
-        } else {
-          reply.u8(static_cast<std::uint8_t>(RemoteStatus::NotFound));
-        }
-        break;
-      }
-      case RemoteOp::PublishVerdict: {
-        kernel::Term key = dec.term();
-        verify::VerifyResult v = decode_verdict(dec);
-        publishes.fetch_add(1, std::memory_order_relaxed);
-        bool inserted =
-            shard_for(key).verdicts.emplace(key, std::move(v)).second;
-        reply.u8(static_cast<std::uint8_t>(RemoteStatus::Ok));
-        reply.u8(inserted ? 1 : 0);
-        break;
-      }
       case RemoteOp::Stats: {
         CacheServerStats st;
         for (const auto& s : shards) {
@@ -210,28 +151,16 @@ std::string CacheServer::Impl::handle_request(const std::string& request) {
         reply.str(PersistentCacheFile::encode(merged_thms, merged_verdicts));
         break;
       }
+      // Both batch handlers answer each entry as they decode it, so the
+      // reply is built in request order and nothing is sized from a wire
+      // count: a fabricated count dies on the decoder's bounds check.
       case RemoteOp::LookupBatch: {
-        if (version < kRemoteProtoBatchVersion) {
-          bad_requests.fetch_add(1, std::memory_order_relaxed);
-          reply.u8(static_cast<std::uint8_t>(RemoteStatus::Error));
-          reply.str("batch opcodes require protocol v2");
-          return reply.finish();
-        }
         batch_frames.fetch_add(1, std::memory_order_relaxed);
-        // Decode the whole batch once, fan entries across shards, answer
-        // with one frame.  Per-entry counters move exactly as they would
-        // for the equivalent per-entry request sequence.
-        std::uint32_t nt = dec.u32();
-        std::vector<kernel::Term> goals;
-        goals.reserve(nt);
-        for (std::uint32_t i = 0; i < nt; ++i) goals.push_back(dec.term());
-        std::uint32_t nv = dec.u32();
-        std::vector<kernel::Term> keys;
-        keys.reserve(nv);
-        for (std::uint32_t i = 0; i < nv; ++i) keys.push_back(dec.term());
         reply.u8(static_cast<std::uint8_t>(RemoteStatus::Ok));
+        std::uint32_t nt = dec.u32();
         reply.u32(nt);
-        for (const kernel::Term& goal : goals) {
+        for (std::uint32_t i = 0; i < nt; ++i) {
+          kernel::Term goal = dec.term();
           lookups.fetch_add(1, std::memory_order_relaxed);
           if (auto v = shard_for(goal).theorems.find(goal)) {
             lookup_hits.fetch_add(1, std::memory_order_relaxed);
@@ -241,8 +170,10 @@ std::string CacheServer::Impl::handle_request(const std::string& request) {
             reply.u8(0);
           }
         }
+        std::uint32_t nv = dec.u32();
         reply.u32(nv);
-        for (const kernel::Term& key : keys) {
+        for (std::uint32_t i = 0; i < nv; ++i) {
+          kernel::Term key = dec.term();
           lookups.fetch_add(1, std::memory_order_relaxed);
           if (auto v = shard_for(key).verdicts.find(key)) {
             lookup_hits.fetch_add(1, std::memory_order_relaxed);
@@ -255,62 +186,45 @@ std::string CacheServer::Impl::handle_request(const std::string& request) {
         break;
       }
       case RemoteOp::PublishBatch: {
-        if (version < kRemoteProtoBatchVersion) {
-          bad_requests.fetch_add(1, std::memory_order_relaxed);
-          reply.u8(static_cast<std::uint8_t>(RemoteStatus::Error));
-          reply.str("batch opcodes require protocol v2");
-          return reply.finish();
-        }
         batch_frames.fetch_add(1, std::memory_order_relaxed);
+        reply.u8(static_cast<std::uint8_t>(RemoteStatus::Ok));
         std::uint32_t nt = dec.u32();
-        std::vector<std::uint8_t> thm_inserted;
-        thm_inserted.reserve(nt);
+        reply.u32(nt);
         for (std::uint32_t i = 0; i < nt; ++i) {
           kernel::Term goal = dec.term();
           kernel::Thm th = dec.thm();
           publishes.fetch_add(1, std::memory_order_relaxed);
-          thm_inserted.push_back(
-              shard_for(goal).theorems.emplace(goal, std::move(th)).second
-                  ? 1
-                  : 0);
+          bool inserted =
+              shard_for(goal).theorems.emplace(goal, std::move(th)).second;
+          reply.u8(inserted ? 1 : 0);
         }
         std::uint32_t nv = dec.u32();
-        std::vector<std::uint8_t> verd_inserted;
-        verd_inserted.reserve(nv);
+        reply.u32(nv);
         for (std::uint32_t i = 0; i < nv; ++i) {
           kernel::Term key = dec.term();
           verify::VerifyResult v = decode_verdict(dec);
           publishes.fetch_add(1, std::memory_order_relaxed);
-          verd_inserted.push_back(
-              shard_for(key).verdicts.emplace(key, std::move(v)).second ? 1
-                                                                        : 0);
+          bool inserted =
+              shard_for(key).verdicts.emplace(key, std::move(v)).second;
+          reply.u8(inserted ? 1 : 0);
         }
-        reply.u8(static_cast<std::uint8_t>(RemoteStatus::Ok));
-        reply.u32(nt);
-        for (std::uint8_t b : thm_inserted) reply.u8(b);
-        reply.u32(nv);
-        for (std::uint8_t b : verd_inserted) reply.u8(b);
         break;
       }
-      default: {
-        bad_requests.fetch_add(1, std::memory_order_relaxed);
-        reply.u8(static_cast<std::uint8_t>(RemoteStatus::Error));
-        reply.str("unknown opcode");
-        return reply.finish();
-      }
+      default:
+        throw RemoteCacheError("unknown opcode " +
+                               std::to_string(static_cast<int>(op)));
     }
     if (!dec.at_end()) {
       throw kernel::SerializeError("trailing bytes after request body");
     }
-  } catch (const kernel::KernelError& e) {
-    // Malformed request (the container checksum already filtered line
-    // noise, so this is schema drift or a buggy client): answer with a
-    // diagnostic rather than silently dropping the connection.
+  } catch (const std::exception& e) {
+    // One bad request costs one Error reply, never the daemon: a foreign
+    // version, an unknown opcode, or a malformed body (the container
+    // checksum already filtered line noise, so that is schema drift or a
+    // crafted frame) is answered with a diagnostic on the same connection.
     bad_requests.fetch_add(1, std::memory_order_relaxed);
     kernel::Encoder err;
-    // Version 1: the lowest common denominator every client can parse —
-    // the request may have been too malformed to know the sender's.
-    err.u32(kRemoteProtoMinVersion);
+    err.u32(kRemoteProtoVersion);
     err.u8(static_cast<std::uint8_t>(RemoteStatus::Error));
     err.str(e.what());
     return err.finish();
@@ -361,6 +275,7 @@ void CacheServer::Impl::accept_loop() {
   while (!stopping.load(std::memory_order_relaxed)) {
     // Reap on every iteration (accept or 200 ms timeout), so the thread
     // count tracks LIVE connections even when no new client arrives.
+    // stop() shuts the listener down, which wakes this poll at once.
     reap_finished();
     struct pollfd pfd{listen_fd, POLLIN, 0};
     int rc = ::poll(&pfd, 1, 200);
@@ -461,8 +376,10 @@ void CacheServer::stop() {
   im.started = false;
   im.stopping.store(true, std::memory_order_relaxed);
   im.snap_cv.notify_all();
-  // Wake the accept loop (poll timeout catches it) and every blocked
-  // per-connection recv.
+  // Wake the accept loop: a shut-down listener makes poll() return at once
+  // and accept() fail, so the join never waits out the poll timeout.
+  // Every blocked per-connection recv is woken the same way below.
+  if (im.listen_fd >= 0) ::shutdown(im.listen_fd, SHUT_RDWR);
   if (im.accepter.joinable()) im.accepter.join();
   std::list<std::unique_ptr<Impl::Handler>> handlers;
   {

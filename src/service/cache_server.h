@@ -26,11 +26,6 @@ struct CacheServerOptions {
   CacheFileOptions file_options;
   /// Periodic snapshot interval in ms (0 = only on stop()).
   int snapshot_ms = 0;
-  /// Highest protocol version this daemon speaks.  The default is the
-  /// current kRemoteProtoVersion; tests pin 1 to emulate a pre-batch v1
-  /// daemon for version-skew interop coverage (the Ping reply then omits
-  /// the version advertisement and batch opcodes are rejected).
-  std::uint32_t max_proto_version = kRemoteProtoVersion;
 };
 
 struct CacheServerStats {

@@ -39,8 +39,6 @@ struct RemoteBackend::Impl {
     backoff.backoff_ms = opts.backoff_ms;
     backoff.backoff_cap_ms = opts.backoff_cap_ms;
     opts.pool = std::clamp(opts.pool, 1, 64);
-    opts.max_proto_version = std::clamp(
-        opts.max_proto_version, kRemoteProtoMinVersion, kRemoteProtoVersion);
     conns.reserve(static_cast<std::size_t>(opts.pool));
     for (int i = 0; i < opts.pool; ++i) {
       conns.push_back(std::make_unique<Conn>());
@@ -68,41 +66,6 @@ struct RemoteBackend::Impl {
     return {&c, std::unique_lock<std::mutex>(c.mu)};
   }
 
-  /// Version handshake on a freshly connected socket (c.mu held): ping at
-  /// v1 — the one request every daemon answers — and read the daemon's
-  /// max version out of the reply body (absent = a v1 daemon).  The
-  /// negotiated min(client, daemon) gates the batch opcodes.
-  bool negotiate(Conn& c) {
-    kernel::Encoder enc;
-    enc.u32(kRemoteProtoMinVersion);
-    enc.u8(static_cast<std::uint8_t>(RemoteOp::Ping));
-    enc.str(opts.tenant);
-    std::string reply;
-    if (!write_frame(c.fd, enc.finish()) ||
-        !read_frame(c.fd, reply, kMaxResponseFrame)) {
-      return false;
-    }
-    // Not counted in round_trips: the counter measures cache exchanges
-    // (what batching collapses), not per-connection setup.
-    std::uint32_t peer = kRemoteProtoMinVersion;
-    try {
-      kernel::Decoder dec(reply);
-      std::uint32_t version = dec.u32();
-      std::uint8_t status = dec.u8();
-      if (version < kRemoteProtoMinVersion ||
-          version > kRemoteProtoVersion ||
-          status != static_cast<std::uint8_t>(RemoteStatus::Ok)) {
-        return false;
-      }
-      if (!dec.at_end()) peer = dec.u32();
-    } catch (const kernel::KernelError&) {
-      return false;  // corrupt handshake: the connection is no good
-    }
-    peer = std::clamp(peer, kRemoteProtoMinVersion, opts.max_proto_version);
-    peer_version.store(static_cast<int>(peer), std::memory_order_relaxed);
-    return true;
-  }
-
   /// One request/response exchange on a pooled connection.  Returns the
   /// reply payload, or nullopt when the daemon is unreachable (which
   /// opens/extends the shared degradation window).  Never throws.
@@ -123,10 +86,6 @@ struct RemoteBackend::Impl {
         return fail(c, "cannot connect to " + addr.display);
       }
       open_conns.fetch_add(1, std::memory_order_relaxed);
-      if (!negotiate(c)) {
-        return fail(c, "version handshake with " + addr.display +
-                           " failed");
-      }
     }
     if (FaultInjector::instance().should_fail(kFaultRemoteStall)) {
       // Wedge mid-frame: the daemon is now holding half a request and
@@ -190,202 +149,135 @@ struct RemoteBackend::Impl {
     open_backoff_window(what);
   }
 
-  /// Per-entry request header.  Always stamped v1: the per-entry bodies
-  /// are identical in both versions, so staying at the floor keeps a v2
-  /// client wire-compatible with every daemon without re-negotiating.
+  /// Request header: (version, opcode, tenant).
   kernel::Encoder request(RemoteOp op) const {
     kernel::Encoder enc;
-    enc.u32(kRemoteProtoMinVersion);
+    enc.u32(kRemoteProtoVersion);
     enc.u8(static_cast<std::uint8_t>(op));
     enc.str(opts.tenant);
     return enc;
   }
 
-  /// Batch request header (only built once v2 was negotiated).
-  kernel::Encoder batch_request(RemoteOp op) const {
-    kernel::Encoder enc;
-    enc.u32(kRemoteProtoBatchVersion);
-    enc.u8(static_cast<std::uint8_t>(op));
-    enc.str(opts.tenant);
-    return enc;
-  }
-
-  bool batch_capable() const {
-    return opts.batch &&
-           opts.max_proto_version >= kRemoteProtoBatchVersion &&
-           peer_version.load(std::memory_order_relaxed) >=
-               static_cast<int>(kRemoteProtoBatchVersion);
-  }
-
-  /// Validate a reply header; returns the status, or nullopt on
-  /// malformation/version skew.  Any version up to ours is fine — a v2
-  /// daemon echoes the request's version, a v1 daemon always says 1.
-  std::optional<RemoteStatus> reply_status(kernel::Decoder& dec) {
-    std::uint32_t version = dec.u32();
-    if (version < kRemoteProtoMinVersion ||
-        version > kRemoteProtoVersion) {
-      return std::nullopt;
-    }
-    std::uint8_t status = dec.u8();
-    if (status > static_cast<std::uint8_t>(RemoteStatus::Error)) {
-      return std::nullopt;
-    }
-    return static_cast<RemoteStatus>(status);
-  }
-
-  std::optional<kernel::Thm> remote_lookup_thm(const kernel::Term& goal) {
-    kernel::Encoder enc = request(RemoteOp::LookupThm);
-    enc.term(goal);
-    auto reply = exchange(enc.finish());
-    if (!reply) return std::nullopt;
+  /// One exchange whose reply must open (kRemoteProtoVersion, Ok); the
+  /// rest of the reply goes to `read_body`.  Returns false when nothing
+  /// usable came back, and each way that happens counts one remote
+  /// failure and opens the backoff window, so the fallback serves what the
+  /// daemon could not:
+  ///   - the transport failed (exchange() already accounted it);
+  ///   - the daemon answered Error, refusing the version or the opcode;
+  ///   - the reply did not parse.  A malformed but checksum-passing reply
+  ///     could mean a desynchronized stream, so every idle connection is
+  ///     dropped as well.
+  template <typename ReadBody>
+  bool call(const kernel::Encoder& req, ReadBody&& read_body) {
+    auto reply = exchange(req.finish());
+    if (!reply) return false;
     try {
       kernel::Decoder dec(*reply);
-      auto status = reply_status(dec);
-      if (status && *status == RemoteStatus::Ok) return dec.thm();
-    } catch (const kernel::KernelError&) {
-      // Corrupt reply: treat like a dead daemon, never like a miss that
-      // could poison accounting.
-      fail_all("malformed reply from " + addr.display);
-    }
-    return std::nullopt;
-  }
-
-  std::optional<verify::VerifyResult> remote_lookup_verdict(
-      const kernel::Term& key) {
-    kernel::Encoder enc = request(RemoteOp::LookupVerdict);
-    enc.term(key);
-    auto reply = exchange(enc.finish());
-    if (!reply) return std::nullopt;
-    try {
-      kernel::Decoder dec(*reply);
-      auto status = reply_status(dec);
-      if (status && *status == RemoteStatus::Ok) {
-        return decode_verdict(dec);
+      std::uint32_t version = dec.u32();
+      if (version != kRemoteProtoVersion) {
+        throw kernel::SerializeError("reply version " +
+                                     std::to_string(version));
       }
-    } catch (const kernel::KernelError&) {
-      fail_all("malformed reply from " + addr.display);
+      std::uint8_t status = dec.u8();
+      if (status == static_cast<std::uint8_t>(RemoteStatus::Error)) {
+        open_backoff_window(addr.display + " refused the request: " +
+                            dec.str());
+        return false;
+      }
+      if (status != static_cast<std::uint8_t>(RemoteStatus::Ok)) {
+        throw kernel::SerializeError("reply status " +
+                                     std::to_string(status));
+      }
+      read_body(dec);
+      return true;
+    } catch (const kernel::KernelError& e) {
+      fail_all("malformed reply from " + addr.display + ": " + e.what());
+      return false;
     }
-    return std::nullopt;
   }
 
-  void remote_publish_thm(const kernel::Term& goal,
-                          const kernel::Thm& th) {
-    kernel::Encoder enc = request(RemoteOp::PublishThm);
-    enc.term(goal);
-    enc.thm(th);
-    (void)exchange(enc.finish());  // best-effort; the fallback has it
+  /// A batch reply section opens with its entry count, which must echo the
+  /// request's.
+  static void expect_count(kernel::Decoder& dec, std::size_t n) {
+    if (dec.u32() != n) {
+      throw kernel::SerializeError("batch reply entry-count mismatch");
+    }
   }
 
-  void remote_publish_verdict(const kernel::Term& key,
-                              const verify::VerifyResult& v) {
-    kernel::Encoder enc = request(RemoteOp::PublishVerdict);
-    enc.term(key);
-    encode_verdict(enc, v);
-    (void)exchange(enc.finish());
-  }
+  struct Found {
+    std::vector<std::optional<kernel::Thm>> thms;
+    std::vector<std::optional<verify::VerifyResult>> verdicts;
+  };
 
-  /// One LookupBatch frame for `keys` (verdict section only).  Returns
-  /// nullopt when batching cannot be used at all (v1 peer, batching off,
-  /// daemon refused the opcode) — the caller then goes per-entry.  A
-  /// transport failure mid-batch returns all-absent: the failure already
-  /// counted and opened the backoff window, so retrying each entry
-  /// individually would only multiply degraded ops.
-  std::optional<std::vector<std::optional<verify::VerifyResult>>>
-  remote_lookup_verdict_batch(const std::vector<kernel::Term>& keys) {
-    if (!batch_capable()) return std::nullopt;
-    kernel::Encoder enc = batch_request(RemoteOp::LookupBatch);
-    enc.u32(0);  // no theorem entries on this path
+  /// One LookupBatch frame: a theorem section for `goals` and a verdict
+  /// section for `keys`.  Entries the daemon lacks come back absent, and
+  /// so does every entry when the call fails.
+  Found remote_lookup(const std::vector<kernel::Term>& goals,
+                      const std::vector<kernel::Term>& keys) {
+    kernel::Encoder enc = request(RemoteOp::LookupBatch);
+    enc.u32(static_cast<std::uint32_t>(goals.size()));
+    for (const kernel::Term& goal : goals) enc.term(goal);
     enc.u32(static_cast<std::uint32_t>(keys.size()));
     for (const kernel::Term& key : keys) enc.term(key);
-    std::vector<std::optional<verify::VerifyResult>> out(keys.size());
-    auto reply = exchange(enc.finish());
-    if (!reply) return out;
-    try {
-      kernel::Decoder dec(*reply);
-      auto status = reply_status(dec);
-      if (!status) {
-        throw kernel::SerializeError("bad batch reply header");
+    Found found;
+    found.thms.resize(goals.size());
+    found.verdicts.resize(keys.size());
+    bool ok = call(enc, [&](kernel::Decoder& dec) {
+      expect_count(dec, goals.size());
+      for (auto& th : found.thms) {
+        if (dec.u8() != 0) th = dec.thm();
       }
-      if (*status != RemoteStatus::Ok) {
-        // A daemon that downgraded underneath us refuses the opcode;
-        // fall back to per-entry traffic from here on.
-        return std::nullopt;
+      expect_count(dec, keys.size());
+      for (auto& v : found.verdicts) {
+        if (dec.u8() != 0) v = decode_verdict(dec);
       }
-      if (dec.u32() != 0) {
-        throw kernel::SerializeError("unexpected theorem section");
-      }
-      std::uint32_t nv = dec.u32();
-      if (nv != keys.size()) {
-        throw kernel::SerializeError("batch reply entry-count mismatch");
-      }
-      for (std::uint32_t i = 0; i < nv; ++i) {
-        if (dec.u8() != 0) out[i] = decode_verdict(dec);
-      }
-      return out;
-    } catch (const kernel::KernelError&) {
-      fail_all("malformed batch reply from " + addr.display);
-      out.assign(keys.size(), std::nullopt);
-      return out;
+    });
+    if (!ok) {
+      found.thms.assign(goals.size(), std::nullopt);
+      found.verdicts.assign(keys.size(), std::nullopt);
     }
+    return found;
   }
 
-  /// One PublishBatch frame (verdict section only; best-effort like every
-  /// remote publish).  Returns false when batching cannot be used — the
-  /// caller then publishes per-entry.
-  bool remote_publish_verdict_batch(
+  /// One PublishBatch frame, best-effort like every remote publish: the
+  /// fallback already holds each entry, so a failure only costs sharing.
+  /// The per-entry inserted bits are validated but unused: the daemon's
+  /// race outcome never changes what THIS process proved.
+  void remote_publish(
+      const std::vector<std::pair<kernel::Term, kernel::Thm>>& thms,
       const std::vector<std::pair<kernel::Term, verify::VerifyResult>>&
-          entries) {
-    if (!batch_capable()) return false;
-    kernel::Encoder enc = batch_request(RemoteOp::PublishBatch);
-    enc.u32(0);  // no theorem entries on this path
-    enc.u32(static_cast<std::uint32_t>(entries.size()));
-    for (const auto& [key, v] : entries) {
+          verdicts) {
+    kernel::Encoder enc = request(RemoteOp::PublishBatch);
+    enc.u32(static_cast<std::uint32_t>(thms.size()));
+    for (const auto& [goal, th] : thms) {
+      enc.term(goal);
+      enc.thm(th);
+    }
+    enc.u32(static_cast<std::uint32_t>(verdicts.size()));
+    for (const auto& [key, v] : verdicts) {
       enc.term(key);
       encode_verdict(enc, v);
     }
-    auto reply = exchange(enc.finish());
-    if (!reply) return true;  // attempted; failure already accounted
-    try {
-      kernel::Decoder dec(*reply);
-      auto status = reply_status(dec);
-      if (!status) {
-        throw kernel::SerializeError("bad batch reply header");
-      }
-      if (*status != RemoteStatus::Ok) return false;  // daemon downgraded
-      // Per-entry inserted bits: protocol-validated even though the
-      // client's accounting is local-first (the daemon's insert/race
-      // outcome never changes what THIS process proved).
-      if (dec.u32() != 0) {
-        throw kernel::SerializeError("unexpected theorem section");
-      }
-      std::uint32_t nv = dec.u32();
-      if (nv != entries.size()) {
-        throw kernel::SerializeError("batch reply entry-count mismatch");
-      }
-      for (std::uint32_t i = 0; i < nv; ++i) (void)dec.u8();
-    } catch (const kernel::KernelError&) {
-      fail_all("malformed batch reply from " + addr.display);
-    }
-    return true;
+    (void)call(enc, [&](kernel::Decoder& dec) {
+      expect_count(dec, thms.size());
+      for (std::size_t i = 0; i < thms.size(); ++i) (void)dec.u8();
+      expect_count(dec, verdicts.size());
+      for (std::size_t i = 0; i < verdicts.size(); ++i) (void)dec.u8();
+    });
   }
 
   std::optional<std::string> remote_snapshot() {
-    kernel::Encoder enc = request(RemoteOp::Snapshot);
-    auto reply = exchange(enc.finish());
-    if (!reply) return std::nullopt;
-    try {
-      kernel::Decoder dec(*reply);
-      auto status = reply_status(dec);
-      if (status && *status == RemoteStatus::Ok) return dec.str();
-    } catch (const kernel::KernelError&) {
-      fail_all("malformed reply from " + addr.display);
+    std::string blob;
+    if (!call(request(RemoteOp::Snapshot),
+              [&](kernel::Decoder& dec) { blob = dec.str(); })) {
+      return std::nullopt;
     }
-    return std::nullopt;
+    return blob;
   }
 
-  bool ping() {
-    kernel::Encoder enc = request(RemoteOp::Ping);
-    return exchange(enc.finish()).has_value();
+  void ping() {
+    (void)call(request(RemoteOp::Ping), [](kernel::Decoder&) {});
   }
 
   RemoteBackendOptions opts;
@@ -395,8 +287,6 @@ struct RemoteBackend::Impl {
   std::vector<std::unique_ptr<Conn>> conns;
   std::atomic<std::size_t> next_conn{0};
   std::atomic<int> open_conns{0};
-  /// min(client, daemon) from the Ping handshake; 0 before any handshake.
-  std::atomic<int> peer_version{0};
 
   std::mutex state_mu;  ///< guards the shared degradation state
   int consecutive_failures = 0;
@@ -419,9 +309,8 @@ struct RemoteBackend::Impl {
 
 RemoteBackend::RemoteBackend(RemoteBackendOptions opts)
     : impl_(std::make_unique<Impl>(std::move(opts))) {
-  // Probe once so a client fronting a dead daemon degrades (and says so)
-  // immediately instead of on its first obligation.  On a live daemon the
-  // probe doubles as the version handshake.
+  // Probe once so a client fronting a dead (or foreign-version) daemon
+  // degrades, and says so, immediately instead of on its first obligation.
   impl_->ping();
 }
 
@@ -429,21 +318,16 @@ RemoteBackend::~RemoteBackend() = default;
 
 std::optional<kernel::Thm> RemoteBackend::lookup_theorem(
     const kernel::Term& goal, bool* was_hit) {
-  if (auto v = impl_->fallback.theorems().find(goal)) {
-    impl_->thm_hits.fetch_add(1, std::memory_order_relaxed);
-    if (was_hit != nullptr) *was_hit = true;
-    return v;
-  }
-  if (auto v = impl_->remote_lookup_thm(goal)) {
+  std::optional<kernel::Thm> v = impl_->fallback.theorems().find(goal);
+  if (!v) {
+    v = std::move(impl_->remote_lookup({goal}, {}).thms[0]);
     // Write-back: repeats of this goal stay off the wire, and a daemon
     // death after this point cannot un-serve the obligation.
-    impl_->fallback.theorems().emplace(goal, *v);
-    impl_->thm_hits.fetch_add(1, std::memory_order_relaxed);
-    if (was_hit != nullptr) *was_hit = true;
-    return v;
+    if (v) impl_->fallback.theorems().emplace(goal, *v);
   }
-  if (was_hit != nullptr) *was_hit = false;
-  return std::nullopt;
+  if (v) impl_->thm_hits.fetch_add(1, std::memory_order_relaxed);
+  if (was_hit != nullptr) *was_hit = v.has_value();
+  return v;
 }
 
 std::pair<kernel::Thm, bool> RemoteBackend::publish_theorem(
@@ -452,7 +336,7 @@ std::pair<kernel::Thm, bool> RemoteBackend::publish_theorem(
       impl_->fallback.theorems().emplace(goal, std::move(thm));
   if (inserted) {
     impl_->thm_misses.fetch_add(1, std::memory_order_relaxed);
-    impl_->remote_publish_thm(goal, canonical);
+    impl_->remote_publish({{goal, canonical}}, {});
   } else {
     impl_->thm_hits.fetch_add(1, std::memory_order_relaxed);
   }
@@ -461,36 +345,17 @@ std::pair<kernel::Thm, bool> RemoteBackend::publish_theorem(
 
 std::optional<verify::VerifyResult> RemoteBackend::lookup_verdict(
     const kernel::Term& key, bool* was_hit) {
-  if (auto v = impl_->fallback.verdicts().find(key)) {
-    impl_->verd_hits.fetch_add(1, std::memory_order_relaxed);
-    if (was_hit != nullptr) *was_hit = true;
-    return v;
-  }
-  if (auto v = impl_->remote_lookup_verdict(key)) {
-    impl_->fallback.verdicts().emplace(key, *v);
-    impl_->verd_hits.fetch_add(1, std::memory_order_relaxed);
-    if (was_hit != nullptr) *was_hit = true;
-    return v;
-  }
-  if (was_hit != nullptr) *was_hit = false;
-  return std::nullopt;
+  std::vector<std::uint8_t> hit;
+  auto found = lookup_verdicts({key}, &hit);
+  if (was_hit != nullptr) *was_hit = hit[0] != 0;
+  return std::move(found[0]);
 }
 
 std::pair<verify::VerifyResult, bool> RemoteBackend::publish_verdict(
     const kernel::Term& key, verify::VerifyResult v, bool cacheable) {
-  if (!cacheable) {
-    impl_->verd_misses.fetch_add(1, std::memory_order_relaxed);
-    return {std::move(v), false};
-  }
-  auto [canonical, inserted] =
-      impl_->fallback.verdicts().emplace(key, std::move(v));
-  if (inserted) {
-    impl_->verd_misses.fetch_add(1, std::memory_order_relaxed);
-    impl_->remote_publish_verdict(key, canonical);
-  } else {
-    impl_->verd_hits.fetch_add(1, std::memory_order_relaxed);
-  }
-  return {canonical, inserted};
+  std::vector<VerdictPublish> one;
+  one.push_back({key, std::move(v), cacheable});
+  return std::move(publish_verdicts(std::move(one))[0]);
 }
 
 std::vector<std::optional<verify::VerifyResult>>
@@ -498,8 +363,8 @@ RemoteBackend::lookup_verdicts(const std::vector<kernel::Term>& keys,
                                std::vector<std::uint8_t>* was_hit) {
   std::vector<std::optional<verify::VerifyResult>> out(keys.size());
   if (was_hit != nullptr) was_hit->assign(keys.size(), 0);
-  // Local fallback first, per entry — identical to the single lookup's
-  // first tier, and what keeps repeats off the wire entirely.
+  // Local fallback first, per entry: what keeps repeats off the wire
+  // entirely.
   std::vector<std::size_t> miss_idx;
   std::vector<kernel::Term> miss_keys;
   for (std::size_t i = 0; i < keys.size(); ++i) {
@@ -513,22 +378,14 @@ RemoteBackend::lookup_verdicts(const std::vector<kernel::Term>& keys,
     }
   }
   if (miss_idx.empty()) return out;
-  auto settle = [&](std::size_t j, const verify::VerifyResult& v) {
-    std::size_t i = miss_idx[j];
-    impl_->fallback.verdicts().emplace(keys[i], v);
-    impl_->verd_hits.fetch_add(1, std::memory_order_relaxed);
-    out[i] = v;
-    if (was_hit != nullptr) (*was_hit)[i] = 1;
-  };
-  if (auto batch = impl_->remote_lookup_verdict_batch(miss_keys)) {
-    for (std::size_t j = 0; j < miss_keys.size(); ++j) {
-      if ((*batch)[j]) settle(j, *(*batch)[j]);
-    }
-    return out;
-  }
-  // v1 daemon or batching disabled: per-entry remote lookups.
+  Impl::Found remote = impl_->remote_lookup({}, miss_keys);
   for (std::size_t j = 0; j < miss_keys.size(); ++j) {
-    if (auto v = impl_->remote_lookup_verdict(miss_keys[j])) settle(j, *v);
+    if (!remote.verdicts[j]) continue;
+    std::size_t i = miss_idx[j];
+    impl_->fallback.verdicts().emplace(keys[i], *remote.verdicts[j]);
+    impl_->verd_hits.fetch_add(1, std::memory_order_relaxed);
+    out[i] = std::move(remote.verdicts[j]);
+    if (was_hit != nullptr) (*was_hit)[i] = 1;
   }
   return out;
 }
@@ -556,11 +413,7 @@ RemoteBackend::publish_verdicts(std::vector<VerdictPublish> entries) {
     }
     out.emplace_back(std::move(canonical), inserted);
   }
-  if (!fresh.empty() && !impl_->remote_publish_verdict_batch(fresh)) {
-    for (const auto& [key, v] : fresh) {
-      impl_->remote_publish_verdict(key, v);
-    }
-  }
+  if (!fresh.empty()) impl_->remote_publish({}, fresh);
   return out;
 }
 
@@ -610,10 +463,6 @@ bool RemoteBackend::healthy() const {
 std::string RemoteBackend::last_error() const {
   std::lock_guard<std::mutex> lock(impl_->state_mu);
   return impl_->last_error_str;
-}
-
-int RemoteBackend::negotiated_version() const {
-  return impl_->peer_version.load(std::memory_order_relaxed);
 }
 
 }  // namespace eda::service

@@ -26,12 +26,6 @@ struct RemoteBackendOptions {
   /// Degradation state is SHARED: any connection's transport failure
   /// opens the one backoff window, any success closes it.
   int pool = 4;
-  /// Use v2 LookupBatch/PublishBatch frames when the daemon negotiated
-  /// v2+ on Ping; off forces per-entry ops even against a v2 daemon.
-  bool batch = true;
-  /// Highest protocol version this client speaks.  Tests pin 1 to emulate
-  /// a pre-batch v1 client against a v2 daemon.
-  std::uint32_t max_proto_version = kRemoteProtoVersion;
 };
 
 /// CacheBackend speaking the eda_cached framed protocol, wrapped around an
@@ -43,9 +37,12 @@ struct RemoteBackendOptions {
 ///     proof;
 ///   - lookups consult the fallback, then (healthy) the daemon, and a
 ///     remote hit is written back locally so repeats stay off the wire;
-///   - any transport failure counts remote_failures, degrades the client
-///     for a capped-exponential backoff window (during which ops count
-///     degraded_ops and run purely local), then a single op probes again;
+///   - any transport failure, unparseable reply or Error reply counts
+///     remote_failures, degrades the client for a capped-exponential
+///     backoff window (during which ops count degraded_ops and run purely
+///     local), then a single op probes again;
+///   - every lookup is one LookupBatch frame and every publish one
+///     PublishBatch frame; a single theorem or verdict is a batch of one;
 ///   - hit/miss accounting follows the GoalCache contract (1 miss + k-1
 ///     hits per goal) and is maintained HERE, in one place, regardless of
 ///     where an entry was found.
@@ -73,9 +70,7 @@ class RemoteBackend : public CacheBackend {
 
   /// Batched overrides: local-fallback consultation per entry, then ONE
   /// LookupBatch frame for the local misses / ONE PublishBatch frame for
-  /// the fresh inserts.  Against a v1 daemon (or with batching disabled)
-  /// they degrade to the per-entry ops; the accounting contract is
-  /// identical either way.
+  /// the fresh inserts.
   std::vector<std::optional<verify::VerifyResult>> lookup_verdicts(
       const std::vector<kernel::Term>& keys,
       std::vector<std::uint8_t>* was_hit) override;
@@ -98,9 +93,6 @@ class RemoteBackend : public CacheBackend {
   bool healthy() const;
   /// Last transport diagnostic ("" when none).
   std::string last_error() const;
-  /// Protocol version negotiated with the daemon on Ping (0 before any
-  /// successful handshake; batching engages at >= 2).
-  int negotiated_version() const;
 
  private:
   struct Impl;

@@ -19,47 +19,35 @@ class RemoteCacheError : public kernel::KernelError {
 };
 
 /// eda_cached wire protocol version.  Every request and response payload
-/// opens with a u32 version; a daemon refuses versions above its own with
-/// a STATUS_ERROR reply (a cache is regenerable, so skew handling is
-/// "degrade", never migration).  The payload itself rides inside the PR 5
-/// kernel container (magic, kSerializeVersion, FNV-1a checksum), so the
-/// transport inherits the serializer's corruption detection wholesale.
+/// opens with this u32, and there is exactly one: a daemon answers a frame
+/// stamped with any other version with an Error reply, and a client counts
+/// that reply as a remote failure and degrades to its in-process fallback
+/// (a cache is regenerable, so skew handling is "degrade", never
+/// migration).  The payload itself rides inside the kernel serializer's
+/// container (magic, kSerializeVersion, FNV-1a checksum), so the transport
+/// inherits the serializer's corruption detection wholesale.
 ///
-/// v1  per-entry ops (Ping..Snapshot below).
-/// v2  adds LookupBatch/PublishBatch — N theorem/verdict entries per
-///     frame, one round trip for a whole cone sweep.
-///
-/// Negotiation happens on Ping: a client pings at version 1 (every daemon
-/// answers it) and a v2+ daemon appends its own max version to the Ping
-/// reply body, which v1 clients never read.  The client then batches iff
-/// min(client, daemon) >= 2.  Per-entry requests stay stamped version 1 —
-/// their bodies are identical in both versions, so a v2 client is
-/// wire-indistinguishable from a v1 client until it sends a batch frame.
-/// Replies echo the request's version; error replies for undecodable
-/// requests use version 1 (parseable by every client).
-inline constexpr std::uint32_t kRemoteProtoVersion = 2;
-inline constexpr std::uint32_t kRemoteProtoMinVersion = 1;
-/// First version carrying the batch opcodes.
-inline constexpr std::uint32_t kRemoteProtoBatchVersion = 2;
+/// One frame shape carries every theorem and verdict: LookupBatch and
+/// PublishBatch, each with a theorem section and a verdict section.  A
+/// single entry is a batch of one, and an incremental cone sweep is one
+/// round trip each way.
+inline constexpr std::uint32_t kRemoteProtoVersion = 3;
 
 /// Request opcodes.  All requests carry (version, opcode, tenant) followed
 /// by the op-specific body; all responses carry (version, status) followed
-/// by the op-specific body.
+/// by the op-specific body.  The numbers are the wire values; 1-4 are
+/// retired and get an Error reply like any unknown opcode.
 enum class RemoteOp : std::uint8_t {
-  Ping = 0,           ///< -> Ok [u32(daemon max version), v2+ daemons]
-  LookupThm = 1,      ///< term(goal) -> Ok thm | NotFound
-  PublishThm = 2,     ///< term(goal), thm -> Ok u8(inserted)
-  LookupVerdict = 3,  ///< term(key) -> Ok verdict | NotFound
-  PublishVerdict = 4, ///< term(key), verdict -> Ok u8(inserted)
-  Stats = 5,          ///< -> Ok u32(shards), u64 x4 (entries/lookups/hits),
-                      ///<    u64(tenants seen)
-  Snapshot = 6,       ///< -> Ok str(PersistentCacheFile::encode blob)
-  /// v2.  Body: u32 nt, nt x term(goal), u32 nv, nv x term(key).
+  Ping = 0,      ///< -> Ok
+  Stats = 5,     ///< -> Ok u32(shards), u64 x4 (entries/lookups/hits),
+                 ///<    u64(tenants seen)
+  Snapshot = 6,  ///< -> Ok str(PersistentCacheFile::encode blob)
+  /// Body: u32 nt, nt x term(goal), u32 nv, nv x term(key).
   /// Reply: Ok, u32 nt, nt x (u8 present [, thm]),
   ///            u32 nv, nv x (u8 present [, verdict]).
   LookupBatch = 7,
-  /// v2.  Body: u32 nt, nt x (term(goal), thm),
-  ///            u32 nv, nv x (term(key), verdict).
+  /// Body: u32 nt, nt x (term(goal), thm),
+  ///       u32 nv, nv x (term(key), verdict).
   /// Reply: Ok, u32 nt, nt x u8(inserted), u32 nv, nv x u8(inserted) —
   /// per-entry inserted bits, so batched publication keeps the GoalCache
   /// 1-miss/k-1-hit contract observable end to end.
@@ -68,7 +56,6 @@ enum class RemoteOp : std::uint8_t {
 
 enum class RemoteStatus : std::uint8_t {
   Ok = 0,
-  NotFound = 1,
   Error = 2,  ///< body: str(diagnostic)
 };
 

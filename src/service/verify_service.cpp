@@ -231,7 +231,6 @@ std::unique_ptr<CacheBackend> make_backend(const ServiceOptions& opts) {
     ro.backoff_ms = c.remote_backoff_ms;
     ro.backoff_cap_ms = c.remote_backoff_cap_ms;
     ro.pool = c.remote_pool;
-    ro.batch = c.remote_batch;
     return std::make_unique<RemoteBackend>(std::move(ro));
   }
   if (!c.file.empty()) {

@@ -169,10 +169,6 @@ struct CachePolicy {
   /// exchanges pipeline on distinct sockets.  1 = PR 9 single-socket
   /// semantics.
   int remote_pool = 4;
-  /// Use the v2 LookupBatch/PublishBatch frames when the daemon speaks
-  /// v2 (--no-cache-batch turns this off; v1 daemons force it off via
-  /// version negotiation).
-  bool remote_batch = true;
 };
 
 /// Bit-parallel simulation pre-filter (sim/bitsim.h): before an engine

@@ -23,6 +23,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "kernel/serialize.h"
 #include "kernel/shard.h"
 #include "kernel/terms.h"
 #include "kernel/thm.h"
@@ -72,7 +73,7 @@ struct Rig {
 
 svc::RemoteBackendOptions remote_opts(const std::string& server,
                                       const std::string& tenant = "test",
-                                      int pool = 4, bool batch = true) {
+                                      int pool = 4) {
   svc::RemoteBackendOptions o;
   o.server = server;
   o.tenant = tenant;
@@ -81,7 +82,6 @@ svc::RemoteBackendOptions remote_opts(const std::string& server,
   o.backoff_ms = 1.0;
   o.backoff_cap_ms = 50.0;
   o.pool = pool;
-  o.batch = batch;
   return o;
 }
 
@@ -95,11 +95,9 @@ std::unique_ptr<Rig> make_rig(const std::string& kind,
     std::remove(rig->file.c_str());
     rig->backend = std::make_unique<svc::FileBackend>(rig->file);
   } else {
-    // "remote" plus optional "-pool1" / "-nobatch" suffixes: the battery
-    // must hold at every (pool, batch) corner, pool=1 being the PR 9
-    // single-socket client reproduced exactly.
-    int pool = kind.find("-pool1") != std::string::npos ? 1 : 4;
-    bool batch = kind.find("-nobatch") == std::string::npos;
+    // "remote" or "remote-pool1": the battery must hold with the pooled
+    // client and with the serialized single-socket one.
+    int pool = kind == "remote-pool1" ? 1 : 4;
     std::string sock = temp_path("cached_" + tag + ".sock");
     std::remove(sock.c_str());
     svc::CacheServerOptions sopts;
@@ -108,7 +106,7 @@ std::unique_ptr<Rig> make_rig(const std::string& kind,
     rig->server = std::make_unique<svc::CacheServer>(sopts);
     rig->server->start();
     rig->backend = std::make_unique<svc::RemoteBackend>(
-        remote_opts(sopts.listen, "test", pool, batch));
+        remote_opts(sopts.listen, "test", pool));
   }
   return rig;
 }
@@ -477,8 +475,7 @@ TEST_P(BackendConformance, BatchedVerdictOpsKeepTheContract) {
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendConformance,
                          ::testing::Values("in-process", "file", "remote",
-                                           "remote-pool1", "remote-nobatch",
-                                           "remote-pool1-nobatch"),
+                                           "remote-pool1"),
                          [](const ::testing::TestParamInfo<const char*>& info) {
                            std::string n = info.param;
                            for (char& c : n) {
@@ -537,10 +534,9 @@ struct Fleet {
   }
 
   std::unique_ptr<svc::RemoteBackend> client(const std::string& tenant,
-                                             int pool = 4,
-                                             bool batch = true) {
+                                             int pool = 4) {
     return std::make_unique<svc::RemoteBackend>(
-        remote_opts("unix:" + sock, tenant, pool, batch));
+        remote_opts("unix:" + sock, tenant, pool));
   }
 
   ~Fleet() {
@@ -731,7 +727,7 @@ TEST(RemoteBackend, PersistUnionsLocalFallbackWithDaemonSnapshot) {
   EXPECT_TRUE(thms.find(only_b).has_value());
 }
 
-// --- Batched frames and version negotiation ----------------------------------
+// --- One wire shape: batch frames at one protocol version --------------------
 
 namespace {
 
@@ -751,15 +747,60 @@ std::vector<Term> distinct_goals(TermGen& gen, std::size_t n, int size = 4) {
   return keys;
 }
 
+/// A request header as any peer could send it: (version, opcode, tenant).
+k::Encoder raw_request(std::uint32_t version, std::uint8_t op) {
+  k::Encoder enc;
+  enc.u32(version);
+  enc.u8(op);
+  enc.str("raw");
+  return enc;
+}
+
+/// Send one request frame on a fresh connection to the daemon at `sock`
+/// and return the reply's status byte, or -1 when no well-formed reply
+/// came back.
+int raw_status(const std::string& sock, const k::Encoder& request) {
+  int fd = svc::connect_remote(svc::parse_remote_address("unix:" + sock),
+                               1000, 5000);
+  if (fd < 0) return -1;
+  std::string reply;
+  bool answered = svc::write_frame(fd, request.finish()) &&
+                  svc::read_frame(fd, reply, svc::kMaxResponseFrame);
+  ::close(fd);
+  if (!answered) return -1;
+  k::Decoder dec(reply);
+  if (dec.u32() != svc::kRemoteProtoVersion) return -1;
+  return dec.u8();
+}
+
+constexpr int kOk = static_cast<int>(svc::RemoteStatus::Ok);
+constexpr int kError = static_cast<int>(svc::RemoteStatus::Error);
+
+/// After a run of refused frames the daemon must still serve: one client
+/// publishes, a fresh one hits.
+void expect_daemon_still_serves(Fleet& fleet, std::uint64_t seed) {
+  TermGen gen(seed);
+  Term key = gen.random_goal(4);
+  fleet.client("after-writer")->publish_verdict(key, verdict(31), true);
+  bool was_hit = false;
+  auto found = fleet.client("after-reader")->lookup_verdict(key, &was_hit);
+  ASSERT_TRUE(found.has_value());
+  EXPECT_TRUE(was_hit);
+  EXPECT_EQ(found->iterations, 31);
+}
+
 }  // namespace
 
 TEST(RemoteBackend, BatchedSweepIsOneFrameEachWayAcrossClients) {
   Fleet fleet("batchrt");
   fleet.server->start();
   auto writer = fleet.client("writer");
-  ASSERT_EQ(writer->negotiated_version(), 2);
   TermGen gen(0xf4a3e5);
-  std::vector<Term> keys = distinct_goals(gen, 8);
+  std::vector<Term> keys = distinct_goals(gen, 10);
+  Term extra_key = keys.back();
+  keys.pop_back();
+  Term goal = keys.back();
+  keys.pop_back();
 
   // 8 fresh verdicts leave in ONE PublishBatch frame.
   std::uint64_t rt0 = writer->stats().remote_round_trips;
@@ -790,82 +831,140 @@ TEST(RemoteBackend, BatchedSweepIsOneFrameEachWayAcrossClients) {
   EXPECT_EQ(rs.verdicts.hits, 8u);
   EXPECT_EQ(rs.verdicts.misses, 0u);
 
+  // A single theorem or verdict is a batch of one: exactly one round trip
+  // and one batch frame per op, whichever section it rides in.
+  auto costs_one_frame = [&](svc::RemoteBackend& client, auto&& op) {
+    std::uint64_t rt = client.stats().remote_round_trips;
+    std::uint64_t frames = fleet.server->stats().batch_frames;
+    op();
+    EXPECT_EQ(client.stats().remote_round_trips, rt + 1);
+    EXPECT_EQ(fleet.server->stats().batch_frames, frames + 1);
+  };
+  costs_one_frame(*writer, [&] {
+    EXPECT_TRUE(writer->publish_theorem(goal, Thm::refl(goal)).second);
+  });
+  costs_one_frame(*reader, [&] {
+    auto th = reader->lookup_theorem(goal, nullptr);
+    ASSERT_TRUE(th.has_value());
+    EXPECT_TRUE(th->concl() == k::mk_eq(goal, goal));
+  });
+  costs_one_frame(*writer, [&] {
+    EXPECT_TRUE(writer->publish_verdict(extra_key, verdict(300), true).second);
+  });
+  costs_one_frame(*reader, [&] {
+    auto v = reader->lookup_verdict(extra_key, nullptr);
+    ASSERT_TRUE(v.has_value());
+    EXPECT_EQ(v->iterations, 300);
+  });
+
   svc::CacheServerStats ds = fleet.server->stats();
-  EXPECT_GE(ds.batch_frames, 2u);
-  EXPECT_EQ(ds.verdict_entries, 8u);
+  EXPECT_EQ(ds.batch_frames, 6u);
+  EXPECT_EQ(ds.verdict_entries, 9u);
+  EXPECT_EQ(ds.theorem_entries, 1u);
+  EXPECT_EQ(ds.bad_requests, 0u);
 }
 
-TEST(RemoteBackend, V2ClientAgainstV1DaemonFallsBackPerEntry) {
-  // A daemon pinned at protocol v1 never advertises a max version on
-  // Ping; the v2 client must notice and stay per-entry — same verdicts,
-  // same accounting, zero batch frames on the wire.
-  std::string sock = temp_path("skew_v1d.sock");
-  std::remove(sock.c_str());
-  svc::CacheServerOptions sopts;
-  sopts.listen = "unix:" + sock;
-  sopts.shards = 4;
-  sopts.max_proto_version = 1;
-  svc::CacheServer server(sopts);
-  server.start();
-  {
-    auto client = std::make_unique<svc::RemoteBackend>(
-        remote_opts(sopts.listen, "modern"));
-    EXPECT_EQ(client->negotiated_version(), 1);
-    TermGen gen(0x5e1);
-    std::vector<Term> keys = distinct_goals(gen, 5);
-    std::vector<svc::VerdictPublish> pubs;
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      pubs.push_back({keys[i], verdict(10 + static_cast<int>(i)), true});
-    }
-    client->publish_verdicts(pubs);
-    std::vector<std::uint8_t> hits;
-    auto found = client->lookup_verdicts(keys, &hits);
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      ASSERT_TRUE(found[i].has_value()) << i;
-      EXPECT_EQ(hits[i], 1) << i;
-    }
-    svc::BackendStats st = client->stats();
-    EXPECT_EQ(st.verdicts.misses, 5u);
-    EXPECT_EQ(st.verdicts.hits, 5u);
-    EXPECT_EQ(st.remote_failures, 0u);
-    // And a different v1-pinned client still shares the entries.
-    svc::RemoteBackendOptions old_opts =
-        remote_opts(sopts.listen, "legacy");
-    old_opts.max_proto_version = 1;
-    auto old_client = std::make_unique<svc::RemoteBackend>(old_opts);
-    EXPECT_EQ(old_client->negotiated_version(), 1);
-    auto got = old_client->lookup_verdict(keys[0], nullptr);
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(got->iterations, 10);
-  }
-  svc::CacheServerStats ds = server.stats();
-  EXPECT_EQ(ds.batch_frames, 0u);
-  server.stop();
-}
-
-TEST(RemoteBackend, V1ClientAgainstV2DaemonStaysPerEntryAndShares) {
-  // The mirror skew: an old client (max version pinned to 1) against a
-  // current daemon.  Its per-entry frames are wire-identical to v1, so
-  // everything works — and a v2 client sees its entries.
-  Fleet fleet("skew_v1c");
+TEST(CacheServer, ForeignVersionsAndRetiredOpcodesGetAnErrorReply) {
+  Fleet fleet("wireshape");
   fleet.server->start();
-  svc::RemoteBackendOptions old_opts =
-      remote_opts("unix:" + fleet.sock, "legacy");
-  old_opts.max_proto_version = 1;
-  auto old_client = std::make_unique<svc::RemoteBackend>(old_opts);
-  EXPECT_EQ(old_client->negotiated_version(), 1);
-  TermGen gen(0x5e2);
-  Term key = gen.random_goal(4);
-  old_client->publish_verdict(key, verdict(77, false), true);
+  const auto lookup = static_cast<std::uint8_t>(svc::RemoteOp::LookupBatch);
 
-  auto modern = fleet.client("modern");
-  EXPECT_EQ(modern->negotiated_version(), 2);
-  std::vector<std::uint8_t> hits;
-  auto found = modern->lookup_verdicts({key}, &hits);
-  ASSERT_TRUE(found[0].has_value());
-  EXPECT_EQ(found[0]->iterations, 77);
-  EXPECT_FALSE(found[0]->equivalent);
-  EXPECT_EQ(fleet.server->stats().batch_frames, 1u);  // the lookup only
+  // Control: an empty LookupBatch at the one version is served.
+  k::Encoder ok = raw_request(svc::kRemoteProtoVersion, lookup);
+  ok.u32(0);
+  ok.u32(0);
+  EXPECT_EQ(raw_status(fleet.sock, ok), kOk);
+
+  // The same well-formed frame stamped with any other version is refused.
+  for (std::uint32_t version : {1u, 2u, svc::kRemoteProtoVersion + 1}) {
+    k::Encoder req = raw_request(version, lookup);
+    req.u32(0);
+    req.u32(0);
+    EXPECT_EQ(raw_status(fleet.sock, req), kError) << "version " << version;
+  }
+  // The retired per-entry opcodes 1-4 are refused at the current version,
+  // with the one-term body they used to carry.
+  TermGen gen(0x0dd);
+  Term goal = gen.random_goal(4);
+  for (std::uint8_t op = 1; op <= 4; ++op) {
+    k::Encoder req = raw_request(svc::kRemoteProtoVersion, op);
+    req.term(goal);
+    EXPECT_EQ(raw_status(fleet.sock, req), kError) << "opcode " << int{op};
+  }
+  EXPECT_EQ(fleet.server->stats().bad_requests, 7u);
+  expect_daemon_still_serves(fleet, 0x0dd1);
+}
+
+TEST(CacheServer, HugeBatchCountsGetAnErrorReplyNotACrash) {
+  // Checksum-valid frames whose entry counts promise 2^32 - 1 entries and
+  // carry none.  The daemon must answer each with Error and keep serving:
+  // sizing a buffer from such a count throws std::bad_alloc, which must
+  // not escape the handler thread and terminate the whole daemon.
+  Fleet fleet("hugecount");
+  fleet.server->start();
+  constexpr std::uint32_t kHuge = 0xFFFFFFFFu;
+  for (svc::RemoteOp op :
+       {svc::RemoteOp::LookupBatch, svc::RemoteOp::PublishBatch}) {
+    for (int section = 0; section < 2; ++section) {
+      k::Encoder req =
+          raw_request(svc::kRemoteProtoVersion, static_cast<std::uint8_t>(op));
+      if (section == 0) {
+        req.u32(kHuge);  // theorem section
+      } else {
+        req.u32(0);
+        req.u32(kHuge);  // verdict section
+      }
+      EXPECT_EQ(raw_status(fleet.sock, req), kError)
+          << "opcode " << static_cast<int>(op) << " section " << section;
+    }
+  }
+  EXPECT_EQ(fleet.server->stats().bad_requests, 4u);
+  expect_daemon_still_serves(fleet, 0x4a9e);
+}
+
+TEST(RemoteBackend, ErrorReplyCountsAsARemoteFailureAndDegrades) {
+  // A daemon that refuses every request, as one built for another protocol
+  // version does.  The client must count a remote failure and serve from
+  // its fallback, never read the refusal as a miss.
+  std::string sock = temp_path("refuser.sock");
+  std::remove(sock.c_str());
+  int lfd = svc::listen_remote(svc::parse_remote_address("unix:" + sock), 4,
+                               nullptr);
+  std::thread refuser([lfd] {
+    int fd = ::accept(lfd, nullptr, nullptr);
+    std::string request;
+    while (fd >= 0 && svc::read_frame(fd, request, svc::kMaxRequestFrame)) {
+      k::Encoder err;
+      err.u32(svc::kRemoteProtoVersion);
+      err.u8(static_cast<std::uint8_t>(svc::RemoteStatus::Error));
+      err.str("refused by test daemon");
+      if (!svc::write_frame(fd, err.finish())) break;
+    }
+    if (fd >= 0) ::close(fd);
+  });
+  {
+    // pool=1: every exchange reuses the one connection the refuser serves.
+    auto client = std::make_unique<svc::RemoteBackend>(
+        remote_opts("unix:" + sock, "refused", /*pool=*/1));
+    EXPECT_EQ(client->stats().remote_failures, 1u);  // the refused Ping
+    EXPECT_FALSE(client->healthy());
+    EXPECT_NE(client->last_error().find("refused by test daemon"),
+              std::string::npos)
+        << client->last_error();
+    TermGen gen(0x4ef);
+    Term key = gen.random_goal(4);
+    EXPECT_TRUE(client->publish_verdict(key, verdict(8), true).second);
+    // No ASSERT here: returning early would destroy the unjoined refuser.
+    auto found = client->lookup_verdict(key, nullptr);
+    EXPECT_EQ(found.value_or(VerifyResult{}).iterations, 8);
+    svc::BackendStats st = client->stats();
+    EXPECT_EQ(st.verdicts.misses, 1u);
+    EXPECT_EQ(st.verdicts.hits, 1u);
+  }
+  ::shutdown(lfd, SHUT_RDWR);  // wakes accept() if the client never came
+  refuser.join();
+  ::close(lfd);
+  std::remove(sock.c_str());
 }
 
 // --- Transport bugfixes: mid-frame stalls, handler reaping, stale sockets ----
@@ -925,10 +1024,8 @@ TEST(CacheServer, ReapsFinishedHandlersAcrossManyShortConnections) {
   for (int i = 0; i < 200; ++i) {
     int fd = svc::connect_remote(addr, 1000, 2000);
     ASSERT_GE(fd, 0) << "connect " << i;
-    eda::kernel::Encoder enc;
-    enc.u32(1);
-    enc.u8(static_cast<std::uint8_t>(svc::RemoteOp::Ping));
-    enc.str("soak");
+    k::Encoder enc = raw_request(svc::kRemoteProtoVersion,
+                                 static_cast<std::uint8_t>(svc::RemoteOp::Ping));
     std::string reply;
     ASSERT_TRUE(svc::write_frame(fd, enc.finish())) << i;
     ASSERT_TRUE(svc::read_frame(fd, reply, svc::kMaxResponseFrame)) << i;
@@ -985,4 +1082,18 @@ TEST(CacheServer, RefusesToStealALiveDaemonsSocket) {
   // And the incumbent still serves.
   auto client = fleet.client("loyal");
   EXPECT_TRUE(client->healthy());
+}
+
+TEST(CacheServer, StopWakesTheAcceptLoopAtOnce) {
+  // An idle daemon's accept loop sits in a 200 ms poll; shutting the
+  // listener down must wake it instead of waiting the poll out.
+  Fleet fleet("stopfast");
+  fleet.server->start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));  // into poll
+  auto t0 = std::chrono::steady_clock::now();
+  fleet.server->stop();
+  double ms = std::chrono::duration<double, std::milli>(
+                  std::chrono::steady_clock::now() - t0)
+                  .count();
+  EXPECT_LT(ms, 100.0);
 }

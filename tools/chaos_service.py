@@ -26,7 +26,7 @@ were lost to the save race.
 A daemon-kill phase runs known-truth batches through --cache-server with
 an eda_cached daemon that is SIGKILLed mid-batch — once with the
 serialized --cache-pool 1 client and once with the pipelined
---cache-pool 4 batched client, a fresh daemon each — then a final batch
+--cache-pool 4 client, a fresh daemon each — then a final batch
 against a daemon address that never answered at all.  The remote tier is
 an optimisation, never an authority: every run must complete every job
 with the ground-truth verdict (failures classified, never wrong), and
@@ -278,7 +278,7 @@ def check_fleet_run(tag, svc, out_json, expect, failures):
 def run_daemon_kill_phase(build, tmp, seed, cones, timeout):
     """The remote cache tier under daemon loss: batches whose eda_cached
     is SIGKILLed mid-flight — once through the serialized pool=1 client
-    and once through the pipelined pool=4 batched client, each against a
+    and once through the pipelined pool=4 client, each against a
     fresh daemon — plus one batch against a daemon that never existed.
     Verdicts must stay ground-truth sound every way.  Returns
     (failures, artifacts)."""

@@ -22,8 +22,9 @@
 //   --snapshot-ms N      also snapshot every N ms (default: only on
 //                        shutdown)
 //
-// Speaks protocol v2 (batched LookupBatch/PublishBatch frames, negotiated
-// per connection on Ping) while still serving v1 per-entry clients.
+// Speaks one protocol version (kRemoteProtoVersion): every theorem and
+// verdict travels in LookupBatch/PublishBatch frames, and a frame stamped
+// with another version, or carrying an unknown opcode, gets an Error reply.
 //
 // A stale unix socket left by an unclean death (SIGKILL) is probed on
 // boot: if nothing answers it is unlinked and rebound, so restarts never

@@ -31,18 +31,17 @@
 //                          processes sharing FILE lose no entries
 //   --cache-server ADDR    share the caches through an eda_cached daemon at
 //                          ADDR ("unix:/path" or "host:port"): lookups and
-//                          publishes go to the daemon, every publish also
-//                          lands in an in-process fallback, and a dead or
-//                          unreachable daemon degrades the client to that
-//                          fallback (RETRY_LATER-style capped backoff) —
-//                          verdicts are never lost and never wrong
+//                          publishes go to the daemon, one batch frame
+//                          each (an incremental cone sweep costs <= 2
+//                          round trips); every publish also lands in an
+//                          in-process fallback, and a dead, unreachable or
+//                          foreign-version daemon degrades the client to
+//                          that fallback (RETRY_LATER-style capped
+//                          backoff) — verdicts are never lost and never
+//                          wrong
 //   --cache-pool N         remote-cache connection pool size (default 4):
 //                          up to N exchanges pipeline on distinct sockets;
 //                          1 restores the serialized single-socket client
-//   --no-cache-batch       per-entry remote frames even against a v2
-//                          daemon (batched LookupBatch/PublishBatch frames
-//                          are otherwise negotiated on Ping and collapse
-//                          an incremental cone sweep to <= 2 round trips)
 //   --tenant NAME          tenant label for remote-cache requests and
 //                          admission fairness (weighted round-robin across
 //                          tenants within each priority level)
@@ -97,7 +96,7 @@ namespace {
       "                   [--no-sim] [--sim-vectors N] [--sim-seed S]\n"
       "                   [--timeout S] [--json FILE]\n"
       "                   [--cache-file FILE] [--cache-server ADDR]\n"
-      "                   [--cache-pool N] [--no-cache-batch]\n"
+      "                   [--cache-pool N]\n"
       "                   [--tenant NAME] [--require-cache-hits]\n"
       "                   [--max-retries N] [--deadline-ms N]\n"
       "                   [--queue-depth N] [--faults SPEC]\n");
@@ -133,7 +132,6 @@ int main(int argc, char** argv) {
   int sim_vectors = 256;
   int max_retries = 2;
   int cache_pool = 4;
-  bool cache_batch = true;
   std::optional<std::uint64_t> sim_seed;
 
   for (int a = 1; a < argc; ++a) {
@@ -188,8 +186,7 @@ int main(int argc, char** argv) {
           usage("--cache-pool must be an integer in 1..64");
         }
         cache_pool = n;
-      } else if (arg == "--no-cache-batch") cache_batch = false;
-      else if (arg == "--tenant") tenant = next();
+      } else if (arg == "--tenant") tenant = next();
       else if (arg == "--require-cache-hits") require_hits = true;
       else if (arg == "--max-retries") {
         std::string v = next();
@@ -266,7 +263,6 @@ int main(int argc, char** argv) {
   if (sim_seed) opts.sim.seed = *sim_seed;
   if (cache_server) opts.cache.server = *cache_server;
   opts.cache.remote_pool = cache_pool;
-  opts.cache.remote_batch = cache_batch;
   if (tenant) {
     opts.cache.tenant = *tenant;
     for (service::JobSpec& spec : specs) {

@@ -5,10 +5,11 @@ Generates seeded BLIF pairs with KNOWN ground truth (make_fuzz_pair:
 testlib random_netlist_multi + per-cone edits with known semantics) and
 pushes each through eda_service under every engine (eijk, eijk+, smv,
 sis — the method token of make_fuzz_pair's manifest, rewritten per run),
-each in four configurations:
+each in five configurations:
 
     whole-pair            whole-pair --no-sim
     --incremental         --incremental --no-sim
+    inc_remote: --incremental --cache-server, run cold and then warm
 
 failing the run if ANY run crashes, hangs, or disagrees with the
 generator's ground truth.  The sim-vs-no-sim axis is the soundness gate
@@ -17,6 +18,13 @@ produced is a lane-semantics bug); the incremental axis runs the same
 question as per-cone obligations on one shared-pool batch instead of one
 whole-pair obligation; the engine axis pins the one BDD traversal's
 three modes and the explicit-state SIS engine to the same truth.
+
+inc_remote crosses the wire: one eda_cached daemon, started for the whole
+fuzz run, serves every case.  The first run of each case and engine
+publishes its cone verdicts to the daemon; the second, a fresh process,
+must take every cone from it (cone_hits == cones) and still agree with
+the ground truth, so a verdict that the remote tier corrupts on the way
+out or back fails the run.
 
 Counterexample names are checked for *presence*, not exact spelling:
 with several edited cones the simulator may legitimately surface a
@@ -46,6 +54,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 
 EDITS = ["equivalent", "opaque", "different", "mixed"]
 ENGINES = ["eijk", "eijk+", "smv", "sis"]
@@ -59,7 +68,7 @@ DEFAULT_SEED_BASE = 0x5EEDF17E
 DEEP_CHAIN = 100000
 
 
-def run_case(build, case_dir, seed, edit, timeout):
+def run_case(build, case_dir, seed, edit, timeout, server):
     """Returns (failures, artifacts) for one seeded case; artifacts is a
     list of file paths worth keeping when failures is non-empty."""
     failures = []
@@ -85,14 +94,15 @@ def run_case(build, case_dir, seed, edit, timeout):
     with open(os.path.join(case_dir, "pair.manifest")) as f:
         manifest = f.read().split()
     failures += run_engines(build, case_dir, manifest, expect_equiv,
-                            timeout, artifacts)
+                            timeout, artifacts, server)
     return (failures, artifacts)
 
 
 def run_engines(build, case_dir, manifest, expect_equiv, timeout,
-                artifacts):
-    """Run one pair manifest under every engine and configuration; returns
-    the failures and appends the files worth keeping to artifacts."""
+                artifacts, server):
+    """Run one pair manifest under every engine and configuration, the
+    inc_remote passes against the daemon at `server`; returns the failures
+    and appends the files worth keeping to artifacts."""
     failures = []
     runs = []
     for engine in ENGINES:
@@ -103,6 +113,9 @@ def run_engines(build, case_dir, manifest, expect_equiv, timeout,
         artifacts.append(path)
         for tag, extra in CONFIGS:
             runs.append((f"{stem}_{tag}", path, extra))
+        for remote_pass in ("cold", "warm"):
+            runs.append((f"{stem}_inc_remote_{remote_pass}", path,
+                         ["--incremental", "--cache-server", server]))
     for tag, manifest_path, extra in runs:
         out_json = os.path.join(case_dir, f"result_{tag}.json")
         artifacts.append(out_json)
@@ -150,6 +163,11 @@ def run_engines(build, case_dir, manifest, expect_equiv, timeout,
             failures.append(
                 f"[{tag}] sim-refuted verdict carries no concrete "
                 f"counterexample")
+        if tag.endswith("_warm") and r.get("cone_hits") != r.get("cones"):
+            failures.append(
+                f"[{tag}] warm replay took {r.get('cone_hits')} of "
+                f"{r.get('cones')} cones from the cache daemon, expected "
+                f"all of them")
     return failures
 
 
@@ -165,7 +183,7 @@ def write_chain(path, depth):
         f.write("\n".join(lines))
 
 
-def run_deep_case(build, case_dir, timeout):
+def run_deep_case(build, case_dir, timeout, server):
     """The fixed deep-chain case: (failures, artifacts)."""
     os.makedirs(case_dir, exist_ok=True)
     a = os.path.join(case_dir, "chain.blif")
@@ -179,15 +197,63 @@ def run_deep_case(build, case_dir, timeout):
         os.makedirs(sub_dir, exist_ok=True)
         manifest = [f"blif:{a},{other}", "eijk", "timeout=60", "name=deep"]
         failures += [f"{sub} {f}" for f in run_engines(
-            build, sub_dir, manifest, expect_equiv, timeout, artifacts)]
+            build, sub_dir, manifest, expect_equiv, timeout, artifacts,
+            server)]
     return (failures, artifacts)
+
+
+def run_cases(args, base, tmp, server, failed_seeds):
+    """Every seeded case, then the deep chain, against the daemon at
+    `server`; appends each failing case to failed_seeds."""
+    for i in range(args.cases):
+        seed = base + i
+        edit = EDITS[i % len(EDITS)]
+        case_dir = os.path.join(tmp, f"case_{seed}")
+        try:
+            failures, artifacts = run_case(
+                args.build_dir, case_dir, seed, edit, args.timeout, server)
+        except subprocess.TimeoutExpired:
+            failures, artifacts = ["make_fuzz_pair hung"], []
+        if failures:
+            failed_seeds.append((seed, edit))
+            keep = os.path.join(args.out_dir, f"seed_{seed}_{edit}")
+            os.makedirs(keep, exist_ok=True)
+            for path in artifacts:
+                if os.path.exists(path):
+                    shutil.copy(path, keep)
+            print(f"FAIL seed={seed} edit={edit}  "
+                  f"(repro files in {keep})")
+            for f in failures:
+                print(f"     {f}")
+        else:
+            print(f"ok   seed={seed} edit={edit}")
+    # Chain files are regenerated by this script, so a failure keeps
+    # only the service JSON.
+    case_dir = os.path.join(tmp, "deep_chain")
+    failures, artifacts = run_deep_case(args.build_dir, case_dir,
+                                        args.timeout, server)
+    if failures:
+        failed_seeds.append(("deep_chain", DEEP_CHAIN))
+        keep = os.path.join(args.out_dir, "deep_chain")
+        os.makedirs(keep, exist_ok=True)
+        for path in artifacts:
+            if path.endswith(".json") and os.path.exists(path):
+                shutil.copy(path, os.path.join(
+                    keep, os.path.basename(os.path.dirname(path)) + "_" +
+                    os.path.basename(path)))
+        print(f"FAIL deep_chain depth={DEEP_CHAIN}  (JSON in {keep})")
+        for f in failures:
+            print(f"     {f}")
+    else:
+        print(f"ok   deep_chain depth={DEEP_CHAIN}")
 
 
 def main():
     ap = argparse.ArgumentParser(
         description="fuzz eda_service against known-truth seeded pairs")
     ap.add_argument("--build-dir", default="build",
-                    help="directory holding make_fuzz_pair and eda_service")
+                    help="directory holding make_fuzz_pair, eda_service "
+                         "and eda_cached")
     ap.add_argument("--cases", type=int, default=24,
                     help="number of seeded cases (default 24)")
     ap.add_argument("--seed-base", type=lambda s: int(s, 0), default=None,
@@ -207,7 +273,7 @@ def main():
     print(f"fuzz_service: {args.cases} cases from seed base {base} "
           f"(override with EDA_SEED or --seed-base)")
 
-    for tool in ("make_fuzz_pair", "eda_service"):
+    for tool in ("make_fuzz_pair", "eda_service", "eda_cached"):
         path = os.path.join(args.build_dir, tool)
         if not (os.path.exists(path) or os.path.exists(path + ".exe")):
             print(f"fuzz_service: {path} not found (build first)",
@@ -216,47 +282,24 @@ def main():
 
     failed_seeds = []
     with tempfile.TemporaryDirectory(prefix="fuzz_service.") as tmp:
-        for i in range(args.cases):
-            seed = base + i
-            edit = EDITS[i % len(EDITS)]
-            case_dir = os.path.join(tmp, f"case_{seed}")
-            try:
-                failures, artifacts = run_case(
-                    args.build_dir, case_dir, seed, edit, args.timeout)
-            except subprocess.TimeoutExpired:
-                failures, artifacts = ["make_fuzz_pair hung"], []
-            if failures:
-                failed_seeds.append((seed, edit))
-                keep = os.path.join(args.out_dir, f"seed_{seed}_{edit}")
-                os.makedirs(keep, exist_ok=True)
-                for path in artifacts:
-                    if os.path.exists(path):
-                        shutil.copy(path, keep)
-                print(f"FAIL seed={seed} edit={edit}  "
-                      f"(repro files in {keep})")
-                for f in failures:
-                    print(f"     {f}")
+        sock = os.path.join(tmp, "cached.sock")
+        daemon = subprocess.Popen(
+            [os.path.join(args.build_dir, "eda_cached"), "--socket", sock],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            for _ in range(100):
+                if os.path.exists(sock):
+                    break
+                time.sleep(0.05)
             else:
-                print(f"ok   seed={seed} edit={edit}")
-        # Chain files are regenerated by this script, so a failure keeps
-        # only the service JSON.
-        case_dir = os.path.join(tmp, "deep_chain")
-        failures, artifacts = run_deep_case(args.build_dir, case_dir,
-                                            args.timeout)
-        if failures:
-            failed_seeds.append(("deep_chain", DEEP_CHAIN))
-            keep = os.path.join(args.out_dir, "deep_chain")
-            os.makedirs(keep, exist_ok=True)
-            for path in artifacts:
-                if path.endswith(".json") and os.path.exists(path):
-                    shutil.copy(path, os.path.join(
-                        keep, os.path.basename(os.path.dirname(path)) + "_" +
-                        os.path.basename(path)))
-            print(f"FAIL deep_chain depth={DEEP_CHAIN}  (JSON in {keep})")
-            for f in failures:
-                print(f"     {f}")
-        else:
-            print(f"ok   deep_chain depth={DEEP_CHAIN}")
+                print("fuzz_service: eda_cached never bound its socket",
+                      file=sys.stderr)
+                return 1
+            run_cases(args, base, tmp, "unix:" + sock, failed_seeds)
+        finally:
+            daemon.terminate()
+            daemon.wait()
+
 
     if failed_seeds:
         print(f"\nfuzz_service: {len(failed_seeds)}/{args.cases + 1} cases "
