@@ -26,14 +26,12 @@ static void BM_BuildFig2Machine(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   auto fig2 = eda::bench_gen::make_fig2(n);
   eda::circuit::GateNetlist net = eda::circuit::bit_blast(fig2.rtl);
+  const eda::verify::ProductLayout layout =
+      eda::verify::product_layout({{&net, &net}});
   for (auto _ : state) {
-    b::BddManager m(static_cast<int>(net.inputs().size()) +
-                    2 * net.ff_count());
-    int ni = static_cast<int>(net.inputs().size());
-    auto machine = eda::verify::build_machine(
-        m, net, [](int j) { return j; },
-        [&](int k) { return ni + 2 * k; },
-        [&](int k) { return ni + 2 * k + 1; });
+    b::BddManager m(layout.total());
+    auto machine = eda::verify::build_machine(m, net, layout,
+                                              eda::verify::Side::A);
     benchmark::DoNotOptimize(machine.outputs.size());
   }
 }

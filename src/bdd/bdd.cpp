@@ -13,6 +13,9 @@ constexpr int kTermVar = std::numeric_limits<int>::max();
 constexpr std::size_t kMaxNodes = std::size_t{1} << 30;
 constexpr std::size_t kInitialSlots = 1024;  // unique table and cache
 constexpr std::size_t kMaxCacheEntries = std::size_t{1} << 20;
+// Node requests between two reads of the clock against the deadline: a
+// read costs tens of nanoseconds, 4096 requests tens of microseconds.
+constexpr int kDeadlineStride = 4096;
 
 // Multiply-mix three words into a table index; the final fold brings the
 // well-mixed high bits down to the low bits the masks keep.
@@ -41,8 +44,21 @@ void BddManager::check_var(int index) const {
   if (index < 0 || index >= num_vars_) throw BddError("var out of range");
 }
 
+void BddManager::set_deadline(std::chrono::steady_clock::time_point t) {
+  deadline_ = t;
+  until_clock_read_ = 0;
+}
+
+void BddManager::check_deadline() {
+  until_clock_read_ = kDeadlineStride;
+  if (std::chrono::steady_clock::now() > deadline_) {
+    throw BddTimeout("BDD time budget exceeded");
+  }
+}
+
 BddId BddManager::mk(int var, BddId lo, BddId hi) {
   if (lo == hi) return lo;
+  if (--until_clock_read_ < 0) check_deadline();
   // Canonical form keeps lo regular: (v ? hi : ~lo) == ~(v ? ~hi : lo).
   const BddId neg = lo & 1;
   lo ^= neg;
@@ -258,13 +274,34 @@ BddId BddManager::and_exists_rec(BddId f, BddId g, BddId cube) {
   return r;
 }
 
-BddId BddManager::rename(BddId f, const std::map<int, int>& var_map) {
+BddId BddManager::cofactor(BddId f, int v, bool value) {
+  check_var(v);
+  return cofactor_rec(f, v, value ? 1 : 0);
+}
+
+BddId BddManager::cofactor_rec(BddId f, int v, BddId value) {
+  if (level(f) > v) return f;  // f does not depend on v (terminals too)
+  const BddId neg = f & 1;  // cofactor(~f) == ~cofactor(f)
+  f ^= neg;
+  const Node n = nodes_[static_cast<std::size_t>(f >> 1)];
+  if (n.var == v) return (value != 0 ? n.hi : n.lo) ^ neg;
+  BddId r = 0;
+  if (cache_find(Op::Cofactor, f, v, value, r)) return r ^ neg;
+  const BddId lo = cofactor_rec(n.lo, v, value);
+  r = mk(n.var, lo, cofactor_rec(n.hi, v, value));
+  cache_store(Op::Cofactor, f, v, value, r);
+  return r ^ neg;
+}
+
+BddId BddManager::rename(BddId f, const std::vector<int>& to) {
+  if (to.size() > static_cast<std::size_t>(num_vars_)) {
+    throw BddError("rename: map longer than num_vars");
+  }
   std::vector<int> dense(static_cast<std::size_t>(num_vars_));
   std::iota(dense.begin(), dense.end(), 0);
-  for (const auto& [from, to] : var_map) {
-    check_var(from);
-    check_var(to);
-    dense[static_cast<std::size_t>(from)] = to;
+  for (std::size_t v = 0; v < to.size(); ++v) {
+    check_var(to[v]);
+    dense[v] = to[v];
   }
   auto it = std::find(rename_maps_.begin(), rename_maps_.end(), dense);
   const auto map = static_cast<int>(it - rename_maps_.begin());

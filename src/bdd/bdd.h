@@ -1,7 +1,7 @@
 #pragma once
 
+#include <chrono>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,6 +20,12 @@ class BddError : public kernel::KernelError {
   explicit BddError(const std::string& what) : kernel::KernelError(what) {}
 };
 
+/// Thrown by an operation that runs past the manager's deadline.
+class BddTimeout : public BddError {
+ public:
+  explicit BddTimeout(const std::string& what) : BddError(what) {}
+};
+
 /// Reduced ordered BDD manager with complement edges, after Brace, Rudell
 /// & Bryant, "Efficient implementation of a BDD package" (DAC '90).
 /// Variable order is the index order (0 at the top).  This is the
@@ -34,30 +40,36 @@ class BddError : public kernel::KernelError {
 /// - The unique table is open addressing with linear probing over node
 ///   indices, kept at most half full.
 /// - One direct-mapped, lossy computed cache serves and, xor, ite,
-///   exists, and_exists and rename, keyed by an op tag and the operands;
-///   a colliding store overwrites.  Quantified variables enter the key as
-///   a cube BDD and a rename map as its index among the maps this
-///   manager has seen, so keys are canonical across calls.  The cache
+///   exists, and_exists, cofactor and rename, keyed by an op tag and the
+///   operands; a colliding store overwrites.  Quantified variables enter
+///   the key as a cube BDD and a rename map as its index among the maps
+///   this manager has seen, so keys are canonical across calls.  The cache
 ///   starts at 1024 entries and doubles with the unique table up to 2^20
 ///   entries (20 MB).
 /// - Node budget: creating a node that would make `node_table_size()`
 ///   (terminal included) exceed `node_limit` throws BddError.  The limit
 ///   is clamped to 2^30 so a handle fits an int.
+/// - Time budget: past the deadline set_deadline names, an operation
+///   throws BddTimeout within a few thousand node requests, so one long
+///   apply cannot run on past its caller's budget.
 ///
 /// Threading model: *confinement*, not sharing.  A BddManager instance is
 /// owned by exactly one thread at a time: the one running its
 /// verify::check_batch call (verify/batch_bdd.h).  Within that thread a
 /// manager may serve many obligations at once — a batch's product
-/// machines all number their variables from 0, so logic they share
-/// interns to the same nodes — but it is never shared across threads;
-/// locking these tables would only serialise the deeply recursive apply
-/// walks.
+/// machines share one variable order (verify::product_layout), so logic
+/// they share interns to the same nodes — but it is never shared across
+/// threads; locking these tables would only serialise the deeply
+/// recursive apply walks.
 class BddManager {
  public:
   explicit BddManager(int num_vars, std::size_t node_limit = 50'000'000);
 
   int num_vars() const { return num_vars_; }
   std::size_t node_table_size() const { return nodes_.size(); }
+  /// Operations throw BddTimeout once the steady clock passes `t` (none
+  /// by default).  Any state they leave is valid, as after BddError.
+  void set_deadline(std::chrono::steady_clock::time_point t);
 
   BddId false_bdd() const { return 0; }
   BddId true_bdd() const { return 1; }
@@ -74,13 +86,17 @@ class BddManager {
 
   /// Existential quantification over a set of variables.
   BddId exists(BddId f, const std::vector<int>& vars);
+  /// The cofactor f|v=value: f with variable v fixed, so
+  /// exists(f, {v}) == lor(cofactor(f, v, false), cofactor(f, v, true)).
+  BddId cofactor(BddId f, int v, bool value);
   /// Relational product  exists vars. f /\ g  (single pass, the core of
   /// symbolic image computation).
   BddId and_exists(BddId f, BddId g, const std::vector<int>& vars);
-  /// Simultaneous variable-to-variable renaming.  Any map is allowed; an
-  /// order-preserving one (next-state -> present-state) rebuilds each node
-  /// directly, others fall back to ite.
-  BddId rename(BddId f, const std::map<int, int>& var_map);
+  /// Simultaneous variable-to-variable renaming, variable v to `to[v]`
+  /// (variables past the end of `to` keep their index).  Any map is
+  /// allowed; an order-preserving one (next-state -> present-state)
+  /// rebuilds each node directly, others fall back to ite.
+  BddId rename(BddId f, const std::vector<int>& to);
 
   /// Support variables of f, ascending.
   std::vector<int> support(BddId f);
@@ -101,6 +117,7 @@ class BddManager {
     Ite,
     Exists,
     AndExists,
+    Cofactor,
     Rename,
   };
   struct CacheEntry {
@@ -114,6 +131,7 @@ class BddManager {
   /// (f|v=0, f|v=1) for v at or above f's top variable.
   std::pair<BddId, BddId> cofactors(BddId f, int v) const;
   void check_var(int index) const;
+  void check_deadline();
   BddId mk(int var, BddId lo, BddId hi);
   void grow_tables();
   std::size_t cache_slot(Op op, BddId f, BddId g, BddId h) const;
@@ -122,6 +140,7 @@ class BddManager {
   BddId cube(const std::vector<int>& vars);
   BddId exists_rec(BddId f, BddId cube);
   BddId and_exists_rec(BddId f, BddId g, BddId cube);
+  BddId cofactor_rec(BddId f, int v, BddId value);
   BddId rename_rec(BddId f, int map);
 
   int num_vars_;
@@ -131,6 +150,9 @@ class BddManager {
   std::vector<CacheEntry> cache_;
   std::vector<std::vector<int>> rename_maps_;  // dense var -> var maps
   std::uint32_t epoch_ = 0;
+  std::chrono::steady_clock::time_point deadline_ =
+      std::chrono::steady_clock::time_point::max();
+  int until_clock_read_ = 0;  // node requests left before the next read
 };
 
 }  // namespace eda::bdd

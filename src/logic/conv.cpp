@@ -57,7 +57,7 @@ Conv repeatc(Conv a) {
       if (!applied || eq_rhs(step.concl()) == cur) return acc;
       acc = Thm::trans(acc, step);
       if (++steps > kMaxRewriteSteps) {
-        throw ConvError("repeatc: rewrite limit exceeded");
+        throw RewriteLimitError("repeatc: rewrite limit exceeded");
       }
     }
   };
@@ -132,39 +132,6 @@ Thm once_depth_rec(const Conv& c, const Term& t) {
   }
 }
 
-Thm depth_rec(const Conv& c, const Term& t, int& budget) {
-  Thm acc = Thm::refl(t);
-  switch (t.kind()) {
-    case Term::Kind::Comb: {
-      Thm f = depth_rec(c, t.rator(), budget);
-      Thm x = depth_rec(c, t.rand(), budget);
-      acc = Thm::mk_comb(f, x);
-      break;
-    }
-    case Term::Kind::Abs: {
-      Thm b = depth_rec(c, t.body(), budget);
-      acc = Thm::abs(t.bound_var(), b);
-      break;
-    }
-    default:
-      break;
-  }
-  // Repeat at this node on the rebuilt term.
-  for (;;) {
-    Term cur = eq_rhs(acc.concl());
-    try {
-      Thm step = c(cur);
-      if (eq_rhs(step.concl()) == cur) return acc;
-      if (--budget < 0) throw ConvError("depth_conv: rewrite limit exceeded");
-      acc = Thm::trans(acc, step);
-    } catch (const ConvError&) {
-      throw;
-    } catch (const KernelError&) {
-      return acc;
-    }
-  }
-}
-
 Thm top_depth_rec(const Conv& c, const Term& t, int& budget);
 
 Thm top_depth_children(const Conv& c, const Term& t, int& budget) {
@@ -192,14 +159,14 @@ Thm top_depth_rec(const Conv& c, const Term& t, int& budget) {
     try {
       Thm step = c(cur);
       if (!(eq_rhs(step.concl()) == cur)) {
-        if (--budget < 0)
-          throw ConvError("top_depth_conv: rewrite limit exceeded");
+        if (--budget < 0) {
+          throw RewriteLimitError("top_depth_conv: rewrite limit exceeded");
+        }
         acc = Thm::trans(acc, step);
         applied = true;
       }
-    } catch (const ConvError& e) {
-      if (std::string(e.what()).find("limit exceeded") != std::string::npos)
-        throw;
+    } catch (const RewriteLimitError&) {
+      throw;
     } catch (const KernelError&) {
       // c does not apply here
     }
@@ -216,17 +183,17 @@ Thm top_depth_rec(const Conv& c, const Term& t, int& budget) {
     try {
       Thm step = c(cur2);
       if (!(eq_rhs(step.concl()) == cur2)) {
-        if (--budget < 0)
-          throw ConvError("top_depth_conv: rewrite limit exceeded");
+        if (--budget < 0) {
+          throw RewriteLimitError("top_depth_conv: rewrite limit exceeded");
+        }
         acc = Thm::trans(acc, step);
         Thm rest = top_depth_rec(c, eq_rhs(acc.concl()), budget);
         if (!(eq_rhs(rest.concl()) == eq_rhs(acc.concl()))) {
           acc = Thm::trans(acc, rest);
         }
       }
-    } catch (const ConvError& e) {
-      if (std::string(e.what()).find("limit exceeded") != std::string::npos)
-        throw;
+    } catch (const RewriteLimitError&) {
+      throw;
     } catch (const KernelError&) {
       // done
     }
@@ -238,13 +205,6 @@ Thm top_depth_rec(const Conv& c, const Term& t, int& budget) {
 
 Conv once_depth_conv(Conv c) {
   return [c = std::move(c)](const Term& t) { return once_depth_rec(c, t); };
-}
-
-Conv depth_conv(Conv c) {
-  return [c = std::move(c)](const Term& t) {
-    int budget = kMaxRewriteSteps;
-    return depth_rec(c, t, budget);
-  };
 }
 
 Conv top_depth_conv(Conv c) {

@@ -22,6 +22,15 @@ class ConvError : public KernelError {
   explicit ConvError(const std::string& what) : KernelError(what) {}
 };
 
+/// Thrown by repeatc and top_depth_conv when a rewrite system runs past
+/// kMaxRewriteSteps.  It is a ConvError, so a combinator that catches
+/// declines (orelsec, tryc) catches it too; top_depth_conv tells it from a
+/// decline by type and aborts the whole conversion.
+class RewriteLimitError : public ConvError {
+ public:
+  explicit RewriteLimitError(const std::string& what) : ConvError(what) {}
+};
+
 // --- Basic conversions -----------------------------------------------------
 
 /// `|- t = t` (always succeeds).
@@ -56,8 +65,6 @@ Conv binder_conv(Conv c);
 /// Single top-down sweep: apply `c` (repeatedly) at every subterm, visiting
 /// parents before children.  Does not revisit.
 Conv once_depth_conv(Conv c);
-/// Bottom-up sweep applying `c` where possible.
-Conv depth_conv(Conv c);
 /// Full normalization: repeat top-down sweeps until fixpoint (bounded; see
 /// kMaxRewriteSteps).
 Conv top_depth_conv(Conv c);
@@ -68,8 +75,8 @@ Thm conv_rule(const Conv& c, const Thm& th);
 /// Apply a conversion to the left / right side of an equational conclusion.
 Thm conv_concl_rhs(const Conv& c, const Thm& th);
 
-/// Hard bound on rewrite iterations; exceeding it throws (guards against
-/// looping rewrite systems).
+/// Hard bound on rewrite iterations; exceeding it throws RewriteLimitError
+/// (guards against looping rewrite systems).
 inline constexpr int kMaxRewriteSteps = 100000;
 
 }  // namespace eda::logic

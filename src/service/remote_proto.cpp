@@ -8,6 +8,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -119,8 +120,18 @@ bool read_frame(int fd, std::string& payload, std::size_t max_bytes) {
                       (static_cast<std::uint32_t>(hdr[2]) << 16) |
                       (static_cast<std::uint32_t>(hdr[3]) << 24);
   if (len > max_bytes) return false;
-  payload.resize(len);
-  return len == 0 || read_all(fd, payload.data(), len);
+  // The header is only a promise: grow the buffer as bytes arrive, one
+  // bounded chunk at a time, so a peer that sends a large length and then
+  // stalls or closes costs at most one chunk.
+  payload.clear();
+  while (payload.size() < len) {
+    const std::size_t have = payload.size();
+    payload.resize(have + std::min<std::size_t>(kFrameChunk, len - have));
+    if (!read_all(fd, payload.data() + have, payload.size() - have)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 bool write_frame_wedged(int fd, const std::string& payload) {

@@ -77,8 +77,11 @@ RemoteAddress parse_remote_address(const std::string& spec);
 /// payload length, then the payload bytes (an Encoder::finish() container).
 /// Both return false on any short read/write, EOF or oversized frame —
 /// the caller treats the connection as dead.  Writes suppress SIGPIPE.
+/// read_frame grows `payload` by at most kFrameChunk bytes ahead of the
+/// bytes received, so a length header alone commits at most one chunk.
 bool write_frame(int fd, const std::string& payload);
 bool read_frame(int fd, std::string& payload, std::size_t max_bytes);
+inline constexpr std::size_t kFrameChunk = 64u << 10;
 
 /// Fault-injection helper (kFaultRemoteStall): write the length header and
 /// only the first half of the payload, then return — the stream is now

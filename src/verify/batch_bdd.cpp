@@ -47,8 +47,8 @@ std::vector<std::vector<int>> bucket(const std::vector<int>& last,
   return at;
 }
 
-void build_task(BddManager& mgr, Task& t) {
-  t.p = build_product(mgr, *t.job->a, *t.job->b);
+void build_task(BddManager& mgr, const ProductLayout& L, Task& t) {
+  t.p = build_product(mgr, L, *t.job->a, *t.job->b);
   for (const SymbolicMachine* m : {&t.p.a, &t.p.b}) {
     for (std::size_t i = 0; i < m->next_fn.size(); ++i) {
       t.partitions.push_back(mgr.lxnor(mgr.var(m->next_vars[i]),
@@ -60,7 +60,7 @@ void build_task(BddManager& mgr, Task& t) {
     for (BddId conjunct : t.partitions) tr = mgr.land(tr, conjunct);
     t.partitions = {tr};
   }
-  t.last.assign(static_cast<std::size_t>(t.p.layout.total()), -1);
+  t.last.assign(static_cast<std::size_t>(L.total()), -1);
   for (int v : t.p.quantify) t.last[static_cast<std::size_t>(v)] = 0;
   for (std::size_t k = 0; k < t.partitions.size(); ++k) {
     for (int v : mgr.support(t.partitions[k])) {
@@ -101,15 +101,8 @@ BddId image(BddManager& mgr, const Task& t, BddId frontier,
   return acc;
 }
 
-/// One fixpoint iteration for one task, with `res.seconds` accruing only
-/// this task's own step time so batch timeouts mean the same thing as
-/// per-job timeouts.
-void step_task(BddManager& mgr, Task& t) {
-  Clock::time_point tick = Clock::now();
-  auto charge = [&] {
-    t.res.seconds +=
-        std::chrono::duration<double>(Clock::now() - tick).count();
-  };
+/// One fixpoint iteration for one task.
+void step_task(BddManager& mgr, const ProductLayout& L, Task& t) {
   ++t.res.iterations;
   t.res.peak = std::max(t.res.peak, mgr.node_table_size());
   if (t.res.seconds > t.job->opts.timeout_sec) {
@@ -121,22 +114,21 @@ void step_task(BddManager& mgr, Task& t) {
   BddId frontier = t.frontier;
   std::vector<BddId> deps;
   if (t.job->engine == Engine::EijkPlus) {
-    // A B-side state variable whose on/off projections are disjoint on
-    // the frontier is a function of the rest: image in the reduced space
-    // with the dependency as an extra conjunct.
-    const ProductLayout& L = t.p.layout;
+    // A B-side state variable whose cofactors are disjoint on the
+    // frontier is a function of the rest: image in the reduced space with
+    // the dependency as an extra conjunct.
     for (int v : mgr.support(frontier)) {
-      if (v < L.b_state(0) || (v - L.ni) % 2 != 0) continue;
-      BddId on = mgr.exists(mgr.land(frontier, mgr.var(v)), {v});
-      BddId off = mgr.exists(mgr.land(frontier, mgr.nvar(v)), {v});
+      if (L.role[static_cast<std::size_t>(v)] != VarRole::BState) continue;
+      const BddId on = mgr.cofactor(frontier, v, true);
+      const BddId off = mgr.cofactor(frontier, v, false);
       if (mgr.land(on, off) == mgr.false_bdd()) {
         deps.push_back(mgr.lxnor(mgr.var(v), on));
-        frontier = mgr.exists(frontier, {v});
+        frontier = mgr.lor(on, off);
       }
     }
   }
 
-  BddId img = mgr.rename(image(mgr, t, frontier, deps), t.p.next_to_present);
+  BddId img = mgr.rename(image(mgr, t, frontier, deps), L.next_to_present);
   BddId next_reached = mgr.lor(t.reached, img);
   if (next_reached == t.reached) {
     t.res.peak = std::max(t.res.peak, mgr.node_table_size());
@@ -144,12 +136,39 @@ void step_task(BddManager& mgr, Task& t) {
     t.res.equivalent =
         mgr.land(t.reached, t.p.miscompare) == mgr.false_bdd();
     t.done = true;
-    charge();
     return;
   }
   t.frontier = img;
   t.reached = next_reached;
-  charge();
+}
+
+/// Run one phase of task `t` (its build or one image step) under what is
+/// left of the task's time budget, and charge the phase's time to the
+/// task whatever its outcome, so `res.seconds` counts only the task's own
+/// phases and batch timeouts mean the same thing as per-job timeouts.  A
+/// blown budget is the task's own; a pool blow-up marks it poisoned, since
+/// the shared pool may be to blame.
+template <typename Phase>
+void run_phase(BddManager& mgr, Task& t, Phase phase) {
+  const Clock::time_point tick = Clock::now();
+  const double left = t.job->opts.timeout_sec - t.res.seconds;
+  Clock::time_point deadline = Clock::time_point::max();
+  if (left < 1e9) {  // a longer budget is none (and would overflow)
+    deadline = tick + std::chrono::duration_cast<Clock::duration>(
+                          std::chrono::duration<double>(left));
+  }
+  mgr.set_deadline(deadline);
+  try {
+    phase();
+  } catch (const bdd::BddTimeout&) {
+    t.done = true;  // completed stays false: timed out
+    t.res.failure = FailureKind::Timeout;
+  } catch (const bdd::BddError&) {
+    t.done = true;  // interface mismatch or pool blowup
+    t.poisoned = true;
+    t.res.failure = FailureKind::ResourceExhausted;
+  }
+  t.res.seconds += std::chrono::duration<double>(Clock::now() - tick).count();
 }
 
 }  // namespace
@@ -157,7 +176,7 @@ void step_task(BddManager& mgr, Task& t) {
 std::vector<VerifyResult> check_batch(const std::vector<CheckJob>& jobs) {
   std::vector<VerifyResult> out(jobs.size());
   std::vector<Task> tasks;
-  int vars = 1;
+  std::vector<NetlistPair> pairs;
   std::size_t max_limit = 0, sum_limit = 0;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const CheckJob& job = jobs[i];
@@ -165,7 +184,7 @@ std::vector<VerifyResult> check_batch(const std::vector<CheckJob>& jobs) {
       out[i] = sis_fsm_check(*job.a, *job.b, job.opts);
       continue;
     }
-    vars = std::max(vars, product_var_count(*job.a, *job.b));
+    pairs.emplace_back(job.a, job.b);
     max_limit = std::max(max_limit, job.opts.node_limit);
     sum_limit += job.opts.node_limit;
     tasks.emplace_back();
@@ -177,22 +196,14 @@ std::vector<VerifyResult> check_batch(const std::vector<CheckJob>& jobs) {
   // so one job's limit is far too small a budget for a big batch: size it
   // to the whole batch's aggregate budget, capped at 8x the largest job.
   // Tasks the capped pool still can't finish are re-run alone below, so
-  // the cap costs performance, never verdicts.  Tasks reuse the same
-  // variable indices (every product machine numbers its variables from
-  // 0), which is what makes the shared pool pay: identical logic in
-  // different cones interns to identical nodes.
-  BddManager mgr(vars, std::min(sum_limit, 8 * max_limit));
+  // the cap costs performance, never verdicts.  Every task shares one
+  // variable order, which is what makes the shared pool pay: identical
+  // logic in different cones interns to identical nodes.
+  const ProductLayout layout = product_layout(pairs);
+  BddManager mgr(std::max(1, layout.total()),
+                 std::min(sum_limit, 8 * max_limit));
   for (Task& t : tasks) {
-    Clock::time_point tick = Clock::now();
-    try {
-      build_task(mgr, t);
-    } catch (const bdd::BddError&) {
-      t.done = true;  // interface mismatch or pool blowup during build
-      t.poisoned = true;
-      t.res.failure = FailureKind::ResourceExhausted;
-    }
-    t.res.seconds +=
-        std::chrono::duration<double>(Clock::now() - tick).count();
+    run_phase(mgr, t, [&] { build_task(mgr, layout, t); });
   }
 
   // Round-robin one image step per live task per round.  Short tasks
@@ -202,14 +213,7 @@ std::vector<VerifyResult> check_batch(const std::vector<CheckJob>& jobs) {
     any_live = false;
     for (Task& t : tasks) {
       if (t.done) continue;
-      try {
-        step_task(mgr, t);
-      } catch (const bdd::BddError&) {
-        // The pool is over its limit: stop stepping this task.
-        t.done = true;
-        t.poisoned = true;
-        t.res.failure = FailureKind::ResourceExhausted;
-      }
+      run_phase(mgr, t, [&] { step_task(mgr, layout, t); });
       if (!t.done) any_live = true;
     }
   }

@@ -19,24 +19,33 @@ namespace eda::verify {
 ///          each variable is quantified right after the last conjunct
 ///          that mentions it (van Eijk's partitioned traversal);
 ///   eijk+  eijk plus functional-dependency reduction (van Eijk & Jess,
-///          ED&TC'97): a B-side state variable that is a function of the
-///          others on the frontier — the situation after retiming — is
-///          quantified away and its dependency conjoined last.
+///          ED&TC'97): a B-side state variable whose two cofactors are
+///          disjoint on the frontier is a function of the others — the
+///          situation after retiming — so it is quantified away and its
+///          dependency conjoined last.  Dependencies are detected afresh
+///          on each frontier.
 /// Each task computes its quantification schedule once, when its
 /// partitions are built.
 ///
-/// The shared unique/ite tables are the point of batching: cones split
-/// off the same design build largely identical BDDs, which collapse to
-/// the same nodes, and the apply cache warms across jobs.  A lock-step
-/// loop gives every live task one image step per round, so no single
-/// blow-up-prone job starves the rest.  Per-task timeouts are measured on
-/// time spent inside that task's own steps.  The pool's node budget is
-/// the batch's aggregate per-job budget (capped at 8x the largest single
-/// job — the manager never frees, so the pool must hold every task's
-/// nodes at once); tasks the shared pool starves are re-run as batches of
-/// one under their own limits, so batching can cost time but never
-/// changes a verdict.  SisFsm jobs are explicit-state, have nothing to
-/// share, and run sis_fsm_check directly.
+/// Variable order: one structural order per call, product_layout
+/// (verify/symbolic.h) over every BDD job's pair in input order — a
+/// depth-first walk of the miters, so each register sits near the
+/// logic, and the registers on the other side, it shares fan-in with.
+/// Every task uses that one order: the shared unique/ite tables are the
+/// point of batching, since cones split off the same design build largely
+/// identical BDDs, which collapse to the same nodes only under the same
+/// order, and the apply cache warms across jobs.  A lock-step loop gives
+/// every live task one image step per round, so no single blow-up-prone
+/// job starves the rest.  Per-task timeouts are measured on time spent
+/// inside that task's own build and steps, and hold inside a step: the
+/// manager's deadline (BddManager::set_deadline) stops a build or an image
+/// step that runs past what is left of the task's budget.  The pool's node
+/// budget is the batch's aggregate per-job budget (capped at 8x the
+/// largest single job — the manager never frees, so the pool must hold
+/// every task's nodes at once); tasks the shared pool starves are re-run
+/// as batches of one under their own limits, so batching can cost time
+/// but never changes a verdict.  SisFsm jobs are explicit-state, have
+/// nothing to share, and run sis_fsm_check directly.
 std::vector<VerifyResult> check_batch(const std::vector<CheckJob>& jobs);
 
 }  // namespace eda::verify

@@ -3,8 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <functional>
-#include <map>
 #include <random>
 #include <vector>
 
@@ -74,12 +74,39 @@ TEST(Bdd, AndExistsMatchesComposed) {
   }
 }
 
+TEST(Bdd, CofactorMatchesQuantifiedConjunction) {
+  BddManager m(6);
+  std::mt19937 rng(5);
+  for (int trial = 0; trial < 50; ++trial) {
+    BddId f = (rng() & 1) ? m.true_bdd() : m.false_bdd();
+    for (int k = 0; k < 12; ++k) {
+      const int v = static_cast<int>(rng() % 6);
+      BddId lit = (rng() & 1) ? m.var(v) : m.nvar(v);
+      switch (rng() % 3) {
+        case 0: f = m.land(f, lit); break;
+        case 1: f = m.lor(f, lit); break;
+        default: f = m.lxor(f, lit); break;
+      }
+    }
+    for (BddId g : {f, m.lnot(f)}) {
+      for (int v = 0; v < 6; ++v) {
+        const BddId on = m.cofactor(g, v, true);
+        const BddId off = m.cofactor(g, v, false);
+        EXPECT_EQ(on, m.exists(m.land(g, m.var(v)), {v}));
+        EXPECT_EQ(off, m.exists(m.land(g, m.nvar(v)), {v}));
+        EXPECT_EQ(m.lor(on, off), m.exists(g, {v}));
+        EXPECT_EQ(m.cofactor(on, v, false), on);  // v is gone
+      }
+    }
+  }
+}
+
 TEST(Bdd, Rename) {
   BddManager m(4);
   BddId f = m.land(m.var(0), m.var(2));
-  BddId g = m.rename(f, {{0, 1}, {2, 3}});
+  BddId g = m.rename(f, {1, 1, 3});  // 0 -> 1, 2 -> 3; 3 keeps its index
   EXPECT_EQ(g, m.land(m.var(1), m.var(3)));
-  EXPECT_EQ(m.rename(g, {{1, 3}, {3, 1}}), g);  // swap: the ite fallback
+  EXPECT_EQ(m.rename(g, {0, 3, 2, 1}), g);  // swap: the ite fallback
 }
 
 TEST(Bdd, Support) {
@@ -96,10 +123,34 @@ TEST(Bdd, VariableIndicesAreChecked) {
   EXPECT_THROW(m.nvar(-1), b::BddError);
   EXPECT_THROW(m.nvar(3), b::BddError);
   EXPECT_THROW(m.exists(m.var(0), {3}), b::BddError);
-  EXPECT_THROW(m.rename(m.var(0), {{0, 3}}), b::BddError);
+  EXPECT_THROW(m.rename(m.var(0), {3}), b::BddError);
+  EXPECT_THROW(m.rename(m.var(0), {0, 1, 2, 0}), b::BddError);  // too long
+  EXPECT_THROW(m.cofactor(m.var(0), 3, true), b::BddError);
   BddId f = m.land(m.var(0), m.var(2));
   EXPECT_THROW(m.eval(f, {true, false}), b::BddError);
   EXPECT_TRUE(m.eval(f, {true, false, true}));
+}
+
+TEST(Bdd, DeadlineThrowsBddTimeoutAndLeavesAUsableManager) {
+  // f = AND over k of (x_2k xor x_2k+1): true exactly when every pair
+  // differs.
+  BddManager m(8);
+  auto build = [&m] {
+    BddId f = m.true_bdd();
+    for (int k = 0; k < 8; k += 2) {
+      f = m.land(f, m.lxor(m.var(k), m.var(k + 1)));
+    }
+    return f;
+  };
+  m.set_deadline(std::chrono::steady_clock::now() -
+                 std::chrono::seconds(1));
+  EXPECT_THROW(build(), b::BddTimeout);
+  m.set_deadline(std::chrono::steady_clock::time_point::max());
+  const BddId f = build();
+  std::vector<bool> env = {true, false, false, true, true, false, false, true};
+  EXPECT_TRUE(m.eval(f, env));
+  env[3] = false;
+  EXPECT_FALSE(m.eval(f, env));
 }
 
 TEST(Bdd, NodeLimitEnforced) {
@@ -156,15 +207,24 @@ Table exists_table(Table t, const std::vector<int>& vars) {
   return t;
 }
 
-// rename(f, map) under assignment a is f under the assignment that gives
-// each variable x the value a assigns to map(x).
-Table rename_table(const Table& t, int nv, const std::map<int, int>& map) {
+// cofactor(f, v, value) under assignment a is f under a with v := value.
+Table cofactor_table(const Table& t, int v, bool value) {
+  Table out(t.size());
+  const std::size_t bit = std::size_t{1} << v;
+  for (std::size_t a = 0; a < t.size(); ++a) {
+    out[a] = t[value ? (a | bit) : (a & ~bit)];
+  }
+  return out;
+}
+
+// rename(f, to) under assignment a is f under the assignment that gives
+// each variable x the value a assigns to to[x].
+Table rename_table(const Table& t, int nv, const std::vector<int>& to) {
   Table out(t.size());
   for (std::size_t a = 0; a < t.size(); ++a) {
     std::size_t src = 0;
     for (int x = 0; x < nv; ++x) {
-      auto it = map.find(x);
-      const int y = it == map.end() ? x : it->second;
+      const int y = to[static_cast<std::size_t>(x)];
       src |= ((a >> y) & 1) << x;
     }
     out[a] = t[src];
@@ -181,8 +241,8 @@ TEST_P(BddTruthTable, RandomExpressionsMatchTruthTables) {
   // (present, next) pairs (2, 3) and (4, 5).
   const int nv = 6;
   const std::vector<int> image_quantify = {0, 1, 2, 4};
-  const std::map<int, int> next_to_present = {{3, 2}, {5, 4}};
-  const std::map<int, int> swap = {{0, 1}, {1, 0}, {2, 5}, {5, 2}};
+  const std::vector<int> next_to_present = {0, 1, 2, 2, 4, 4};
+  const std::vector<int> swap = {1, 0, 5, 3, 4, 2};
   BddManager m(nv);
   // Random expression tree, evaluated both as BDD and as a truth table.
   struct Expr {
@@ -284,7 +344,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BddTruthTable, ::testing::Range(0, 12));
 // under ASan a node or cache reference held across a grow fails the run.
 TEST(Bdd, LongRandomSequenceGrowsTablesMidRecursion) {
   const int nv = 8;
-  const int kinds = 7;
+  const int kinds = 8;
   std::mt19937 rng(1);
   BddManager m(nv);
   struct Operand {
@@ -293,9 +353,11 @@ TEST(Bdd, LongRandomSequenceGrowsTablesMidRecursion) {
   };
   std::vector<Operand> pool;
   for (int v = 0; v < nv; ++v) pool.push_back({m.var(v), var_table(nv, v)});
-  std::map<int, int> next_to_present, swap;
-  for (int v = 0; v + 1 < nv; v += 2) next_to_present[v + 1] = v;
-  for (int v = 0; v < nv; ++v) swap[v] = nv - 1 - v;
+  std::vector<int> next_to_present, swap;
+  for (int v = 0; v < nv; ++v) {
+    next_to_present.push_back(v - v % 2);
+    swap.push_back(nv - 1 - v);
+  }
 
   // A pool member, complemented at random.
   auto pick = [&]() {
@@ -356,6 +418,12 @@ TEST(Bdd, LongRandomSequenceGrowsTablesMidRecursion) {
         r = {m.rename(a.f, next_to_present),
              rename_table(a.t, nv, next_to_present)};
         break;
+      case 6: {
+        const int v = static_cast<int>(rng() % nv);
+        const bool value = rng() % 2 != 0;
+        r = {m.cofactor(a.f, v, value), cofactor_table(a.t, v, value)};
+        break;
+      }
       default:  // order-reversing: the ite fallback
         r = {m.rename(a.f, swap), rename_table(a.t, nv, swap)};
         break;

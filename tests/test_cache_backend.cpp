@@ -1097,3 +1097,55 @@ TEST(CacheServer, StopWakesTheAcceptLoopAtOnce) {
                   .count();
   EXPECT_LT(ms, 100.0);
 }
+
+namespace {
+
+/// The 4-byte little-endian length header of the frame format.
+std::string frame_header(std::uint32_t len) {
+  return {static_cast<char>(len & 0xff), static_cast<char>((len >> 8) & 0xff),
+          static_cast<char>((len >> 16) & 0xff),
+          static_cast<char>((len >> 24) & 0xff)};
+}
+
+}  // namespace
+
+TEST(RemoteProto, LengthHeaderAloneCommitsAtMostOneChunk) {
+  // A header promising the largest request frame, then EOF: the reader
+  // must fail without having sized its buffer from the promise.
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  const std::string hdr =
+      frame_header(static_cast<std::uint32_t>(svc::kMaxRequestFrame));
+  ASSERT_EQ(::write(sv[0], hdr.data(), hdr.size()),
+            static_cast<ssize_t>(hdr.size()));
+  ::close(sv[0]);
+  std::string payload;
+  EXPECT_FALSE(svc::read_frame(sv[1], payload, svc::kMaxRequestFrame));
+  EXPECT_LE(payload.capacity(), svc::kFrameChunk);
+  ::close(sv[1]);
+}
+
+TEST(RemoteProto, FramesRoundTripAcrossChunkBoundaries) {
+  // The largest request frame, and sizes on either side of a chunk
+  // boundary, each written by a peer thread and read back intact.
+  for (std::size_t size :
+       {std::size_t{0}, std::size_t{1}, svc::kFrameChunk - 1,
+        svc::kFrameChunk, 3 * svc::kFrameChunk + 17, svc::kMaxRequestFrame}) {
+    SCOPED_TRACE(size);
+    int sv[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    std::string sent(size, '\0');
+    for (std::size_t i = 0; i < size; ++i) {
+      sent[i] = static_cast<char>((i * 131) ^ (i >> 16));
+    }
+    bool wrote = false;
+    std::thread writer([&] { wrote = svc::write_frame(sv[0], sent); });
+    std::string got;
+    EXPECT_TRUE(svc::read_frame(sv[1], got, svc::kMaxRequestFrame));
+    writer.join();
+    EXPECT_TRUE(wrote);
+    EXPECT_TRUE(got == sent);
+    ::close(sv[0]);
+    ::close(sv[1]);
+  }
+}

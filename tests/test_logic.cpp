@@ -207,6 +207,40 @@ TEST(Conv, CombinatorsRepeatTry) {
   EXPECT_EQ(r.concl(), k::mk_eq(x, x));
 }
 
+TEST(Conv, DeclineMentioningTheLimitIsStillADecline) {
+  // A conversion that declines with a message naming a limit: a decline
+  // is told from the rewrite limit by type, never by its text.
+  Term x = bv("x");
+  Term idb = Term::abs(x, x);
+  Term t = Term::comb(idb, Term::comb(idb, l::truth_tm()));
+  l::Conv picky = [](const Term& u) {
+    if (!u.is_comb() || !u.rator().is_abs()) {
+      throw l::ConvError("picky: node budget limit exceeded");
+    }
+    return Thm::beta(u);
+  };
+  Thm th = l::top_depth_conv(picky)(t);
+  EXPECT_EQ(k::eq_rhs(th.concl()), l::truth_tm());
+}
+
+TEST(Conv, RewriteLimitAbortsByType) {
+  // a -> b -> a -> ... never reaches a fixpoint.
+  Term a = bv("a"), b = bv("b");
+  Thm ab = Thm::assume(k::mk_eq(a, b));
+  Thm ba = l::sym(ab);
+  l::Conv flip = [=](const Term& u) {
+    if (u == a) return ab;
+    if (u == b) return ba;
+    throw l::ConvError("flip: not a or b");
+  };
+  EXPECT_THROW(l::top_depth_conv(flip)(a), l::RewriteLimitError);
+  EXPECT_THROW(l::repeatc(flip)(a), l::RewriteLimitError);
+  EXPECT_THROW(l::top_depth_conv(l::repeatc(flip))(a), l::RewriteLimitError);
+  // Still a ConvError: a combinator that catches declines catches it.
+  Thm r = l::tryc(l::repeatc(flip))(a);
+  EXPECT_EQ(r.concl(), k::mk_eq(a, a));
+}
+
 TEST(Match, VariablePattern) {
   Term x = Term::var("x", k::alpha_ty());
   Term t = k::mk_eq(bv("p"), bv("q"));

@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <deque>
+#include <functional>
 #include <set>
+#include <sstream>
 
 #include "bench_gen/fig2.h"
 #include "bench_gen/iwls.h"
@@ -166,6 +169,72 @@ c::GateNetlist all_ones_side(int ni, int bits, int hold, bool faulty,
   c::LitId out = faulty ? net.add_gate(c::GateOp::Xor, parity, hit) : parity;
   net.add_output("y", out);
   return net;
+}
+
+/// The (original, retimed) pair a posthoc circuit spec names, built as
+/// the service builds it: the HASH step's retimed netlist.
+Pair spec_pair(const std::string& spec) {
+  std::vector<int> p;
+  std::stringstream ss(spec);
+  std::string kind, field;
+  std::getline(ss, kind, ':');
+  while (std::getline(ss, field, ':')) p.push_back(std::stoi(field));
+  c::Rtl rtl;
+  h::Cut cut;
+  if (kind == "fig2") {
+    auto fig2 = eda::bench_gen::make_fig2(p[0]);
+    rtl = fig2.rtl;
+    cut = fig2.good_cut;
+  } else if (kind == "fig2deep") {
+    auto deep = eda::bench_gen::make_fig2_deep(p[0], p[1]);
+    rtl = deep.rtl;
+    cut.f_nodes = deep.inc_nodes;
+  } else {
+    eda::bench_gen::BenchCircuit bench;
+    if (kind == "mult") {
+      bench = eda::bench_gen::make_serial_multiplier(spec, p[0]);
+    } else if (kind == "ctrl") {
+      bench = eda::bench_gen::make_controller(spec, p[0], p[1]);
+    } else {
+      bench = eda::bench_gen::make_pipeline_alu(spec, p[0], p[1]);
+    }
+    rtl = bench.rtl;
+    cut = bench.cut;
+  }
+  return {c::bit_blast(rtl), c::bit_blast(h::formal_retime(rtl, cut).retimed)};
+}
+
+/// One engine cell of the golden table: the verdict fields a variable
+/// order must not move.
+struct GoldenCell {
+  const char* circuit;
+  const char* engine;
+  bool completed, equivalent;
+  int iterations;
+  v::FailureKind failure;
+};
+
+/// Runs every cell (a circuit's pair is built once for its run of cells)
+/// under a budget no cell comes near, and compares the verdict fields.
+void expect_golden(const std::vector<GoldenCell>& cells,
+                   const std::function<Pair(const std::string&)>& pair_of) {
+  std::string built;
+  Pair p;
+  for (const GoldenCell& cell : cells) {
+    SCOPED_TRACE(std::string(cell.circuit) + " " + cell.engine);
+    if (built != cell.circuit) {
+      built = cell.circuit;
+      p = pair_of(built);
+    }
+    v::VerifyOptions opts;
+    opts.timeout_sec = 120.0;
+    v::VerifyResult got = v::run_check(
+        {&p.a, &p.b, *v::parse_engine(cell.engine), opts});
+    EXPECT_EQ(got.completed, cell.completed);
+    EXPECT_EQ(got.equivalent, cell.equivalent);
+    EXPECT_EQ(got.iterations, cell.iterations);
+    EXPECT_EQ(got.failure, cell.failure);
+  }
 }
 
 /// Outputs differ only on the all-ones input vector, from the state where
@@ -413,4 +482,323 @@ TEST(AllEngines, MutationsAreCaught) {
     ASSERT_TRUE(sis.completed);
     EXPECT_FALSE(sis.equivalent);
   }
+}
+
+// The golden table: the verdict fields a variable order must not move,
+// for perfbench posthoc_check's 110 (circuit, engine) cells and for every
+// Table II cell that completed at its 2 s budget under the index order
+// (inputs, then all of A's registers, then all of B's).  It was recorded
+// under that order, so a new order must reproduce it exactly: each image
+// step is exact, so the iteration count depends on the reachable states
+// alone, whatever the order.
+constexpr v::FailureKind kNone = v::FailureKind::None;
+
+TEST(Golden, PosthocCellsUnchanged) {
+  const std::vector<GoldenCell> cells = {
+      {"fig2:3", "eijk", true, true, 8, kNone},
+      {"fig2:3", "eijk+", true, true, 8, kNone},
+      {"fig2:4", "eijk", true, true, 16, kNone},
+      {"fig2:4", "eijk+", true, true, 16, kNone},
+      {"fig2:4", "smv", true, true, 16, kNone},
+      {"fig2:4", "sis", true, true, 16, kNone},
+      {"fig2:5", "eijk", true, true, 32, kNone},
+      {"fig2:5", "eijk+", true, true, 32, kNone},
+      {"fig2:5", "smv", true, true, 32, kNone},
+      {"fig2:5", "sis", true, true, 32, kNone},
+      {"fig2:6", "smv", true, true, 64, kNone},
+      {"fig2deep:3:3", "eijk", true, true, 8, kNone},
+      {"fig2deep:3:3", "eijk+", true, true, 8, kNone},
+      {"fig2deep:3:5", "eijk", true, true, 8, kNone},
+      {"fig2deep:3:5", "eijk+", true, true, 8, kNone},
+      {"fig2deep:4:2", "eijk", true, true, 8, kNone},
+      {"fig2deep:4:2", "eijk+", true, true, 8, kNone},
+      {"fig2deep:4:2", "smv", true, true, 8, kNone},
+      {"fig2deep:4:2", "sis", true, true, 8, kNone},
+      {"fig2deep:4:3", "eijk", true, true, 16, kNone},
+      {"fig2deep:4:3", "eijk+", true, true, 16, kNone},
+      {"fig2deep:4:3", "smv", true, true, 16, kNone},
+      {"fig2deep:4:3", "sis", true, true, 16, kNone},
+      {"fig2deep:4:4", "eijk", true, true, 4, kNone},
+      {"fig2deep:4:4", "eijk+", true, true, 4, kNone},
+      {"fig2deep:4:4", "smv", true, true, 4, kNone},
+      {"fig2deep:4:4", "sis", true, true, 4, kNone},
+      {"fig2deep:4:5", "eijk", true, true, 16, kNone},
+      {"fig2deep:4:5", "eijk+", true, true, 16, kNone},
+      {"fig2deep:4:5", "smv", true, true, 16, kNone},
+      {"fig2deep:4:5", "sis", true, true, 16, kNone},
+      {"fig2deep:5:2", "eijk", true, true, 16, kNone},
+      {"fig2deep:5:2", "eijk+", true, true, 16, kNone},
+      {"fig2deep:5:2", "smv", true, true, 16, kNone},
+      {"fig2deep:5:2", "sis", true, true, 16, kNone},
+      {"fig2deep:5:3", "eijk", true, true, 32, kNone},
+      {"fig2deep:5:3", "eijk+", true, true, 32, kNone},
+      {"fig2deep:5:3", "smv", true, true, 32, kNone},
+      {"fig2deep:5:4", "eijk", true, true, 8, kNone},
+      {"fig2deep:5:4", "eijk+", true, true, 8, kNone},
+      {"fig2deep:5:4", "smv", true, true, 8, kNone},
+      {"fig2deep:5:4", "sis", true, true, 8, kNone},
+      {"fig2deep:5:5", "eijk", true, true, 32, kNone},
+      {"fig2deep:5:5", "eijk+", true, true, 32, kNone},
+      {"fig2deep:5:5", "smv", true, true, 32, kNone},
+      {"fig2deep:6:2", "smv", true, true, 32, kNone},
+      {"fig2deep:6:3", "smv", true, true, 64, kNone},
+      {"fig2deep:6:4", "eijk", true, true, 16, kNone},
+      {"fig2deep:6:4", "eijk+", true, true, 16, kNone},
+      {"fig2deep:6:4", "smv", true, true, 16, kNone},
+      {"fig2deep:6:5", "smv", true, true, 64, kNone},
+      {"mult:3", "eijk", true, true, 2, kNone},
+      {"mult:3", "eijk+", true, true, 2, kNone},
+      {"mult:3", "smv", true, true, 2, kNone},
+      {"mult:4", "eijk", true, true, 2, kNone},
+      {"mult:4", "eijk+", true, true, 2, kNone},
+      {"mult:4", "smv", true, true, 2, kNone},
+      {"mult:5", "eijk", true, true, 2, kNone},
+      {"mult:5", "sis", true, true, 32, kNone},
+      {"mult:6", "sis", true, true, 64, kNone},
+      {"ctrl:1:5", "eijk", true, true, 34, kNone},
+      {"ctrl:1:5", "eijk+", true, true, 34, kNone},
+      {"ctrl:1:5", "smv", true, true, 34, kNone},
+      {"ctrl:1:6", "eijk", true, true, 66, kNone},
+      {"ctrl:1:6", "eijk+", true, true, 66, kNone},
+      {"ctrl:1:6", "smv", true, true, 66, kNone},
+      {"ctrl:2:3", "eijk", true, true, 20, kNone},
+      {"ctrl:2:3", "eijk+", true, true, 20, kNone},
+      {"ctrl:2:3", "smv", true, true, 20, kNone},
+      {"ctrl:2:5", "eijk", true, true, 68, kNone},
+      {"ctrl:2:5", "eijk+", true, true, 68, kNone},
+      {"ctrl:2:5", "smv", true, true, 68, kNone},
+      {"ctrl:2:5", "sis", true, true, 68, kNone},
+      {"ctrl:3:2", "eijk", true, true, 24, kNone},
+      {"ctrl:3:2", "eijk+", true, true, 24, kNone},
+      {"ctrl:3:2", "smv", true, true, 24, kNone},
+      {"ctrl:3:4", "eijk", true, true, 72, kNone},
+      {"ctrl:3:4", "smv", true, true, 72, kNone},
+      {"ctrl:3:4", "sis", true, true, 72, kNone},
+      {"ctrl:4:2", "eijk", true, true, 48, kNone},
+      {"ctrl:4:2", "smv", true, true, 48, kNone},
+      {"ctrl:4:2", "sis", true, true, 48, kNone},
+      {"ctrl:4:4", "sis", true, true, 144, kNone},
+      {"ctrl:5:2", "sis", true, true, 96, kNone},
+      {"ctrl:5:3", "sis", true, true, 160, kNone},
+      {"pipe:3:2", "eijk", true, true, 3, kNone},
+      {"pipe:3:2", "eijk+", true, true, 3, kNone},
+      {"pipe:3:2", "smv", true, true, 3, kNone},
+      {"pipe:3:2", "sis", true, true, 25, kNone},
+      {"pipe:3:4", "eijk", true, true, 4, kNone},
+      {"pipe:3:4", "eijk+", true, true, 4, kNone},
+      {"pipe:3:4", "smv", true, true, 4, kNone},
+      {"pipe:3:4", "sis", true, true, 57, kNone},
+      {"pipe:4:2", "eijk", true, true, 3, kNone},
+      {"pipe:4:2", "eijk+", true, true, 3, kNone},
+      {"pipe:4:2", "smv", true, true, 3, kNone},
+      {"pipe:4:3", "eijk", true, true, 4, kNone},
+      {"pipe:4:3", "eijk+", true, true, 4, kNone},
+      {"pipe:4:3", "smv", true, true, 4, kNone},
+      {"pipe:4:4", "eijk", true, true, 4, kNone},
+      {"pipe:4:4", "eijk+", true, true, 4, kNone},
+      {"pipe:4:4", "smv", true, true, 4, kNone},
+      {"pipe:5:1", "eijk", true, true, 2, kNone},
+      {"pipe:5:1", "eijk+", true, true, 2, kNone},
+      {"pipe:5:1", "smv", true, true, 2, kNone},
+      {"pipe:5:2", "eijk", true, true, 3, kNone},
+      {"pipe:5:2", "smv", true, true, 3, kNone},
+      {"pipe:6:1", "eijk", true, true, 2, kNone},
+      {"pipe:6:1", "smv", true, true, 2, kNone},
+      {"pipe:6:2", "eijk", true, true, 3, kNone},
+  };
+  ASSERT_EQ(cells.size(), 110u);
+  expect_golden(cells, spec_pair);
+}
+
+Pair iwls_pair(const std::string& name) {
+  std::optional<eda::bench_gen::BenchCircuit> bench =
+      eda::bench_gen::find_iwls_benchmark(name);
+  return {c::bit_blast(bench->rtl),
+          c::bit_blast(h::formal_retime(bench->rtl, bench->cut).retimed)};
+}
+
+TEST(Golden, TableTwoCellsUnchanged) {
+  expect_golden(
+      {
+          {"s344", "eijk", true, true, 2, kNone},
+          {"s344", "eijk+", true, true, 2, kNone},
+          {"s344", "sis", true, true, 16, kNone},
+          {"s349", "eijk", true, true, 2, kNone},
+          {"s349", "eijk+", true, true, 2, kNone},
+          {"s349", "sis", true, true, 16, kNone},
+          {"mult8", "eijk", true, true, 2, kNone},
+          {"mult8", "sis", true, true, 256, kNone},
+          {"s382", "eijk", true, true, 72, kNone},
+          {"s382", "eijk+", true, true, 72, kNone},
+          {"s382", "sis", true, true, 72, kNone},
+          {"s526", "eijk", true, true, 272, kNone},
+          {"s526", "eijk+", true, true, 272, kNone},
+          {"s526", "sis", true, true, 272, kNone},
+          {"s820", "eijk", true, true, 1056, kNone},
+          {"s820", "eijk+", true, true, 1056, kNone},
+          {"s820", "sis", true, true, 1056, kNone},
+          {"s641", "eijk", true, true, 4, kNone},
+          {"s713", "eijk", true, true, 5, kNone},
+      },
+      iwls_pair);
+}
+
+TEST(Golden, EijkPlusCompletesWhatTheIndexOrderCouldNot) {
+  // Under the index order these ran out of nodes; under the structural
+  // order they complete, with the iteration counts Eijk reports.
+  expect_golden(
+      {
+          {"mult8", "eijk+", true, true, 2, kNone},
+          {"s641", "eijk+", true, true, 4, kNone},
+          {"s713", "eijk+", true, true, 5, kNone},
+      },
+      iwls_pair);
+}
+
+TEST(Budget, BddEnginesStopAtTheirBudget) {
+  // s1238 is past every BDD engine's reach at any budget this test can
+  // afford: each must give up at its budget, inside the product build or
+  // an image step if need be, and charge the time it spent.
+  Pair p = iwls_pair("s1238");
+  for (v::Engine engine :
+       {v::Engine::Eijk, v::Engine::EijkPlus, v::Engine::Smv}) {
+    SCOPED_TRACE(v::engine_name(engine));
+    v::VerifyOptions opts;
+    opts.timeout_sec = 0.3;
+    auto t0 = std::chrono::steady_clock::now();
+    v::VerifyResult res = check(engine, p.a, p.b, opts);
+    std::chrono::duration<double> wall =
+        std::chrono::steady_clock::now() - t0;
+    EXPECT_FALSE(res.completed);
+    EXPECT_EQ(res.failure, v::FailureKind::Timeout);
+    EXPECT_GE(res.seconds, opts.timeout_sec);
+    EXPECT_LT(wall.count(), 1.0);
+  }
+}
+
+namespace {
+
+/// Every variable of `L` exactly once, present and next adjacent, each
+/// role and rename entry where the layout says.
+void expect_layout_invariants(const v::ProductLayout& L, std::size_t ni,
+                              std::size_t na, std::size_t nb) {
+  ASSERT_EQ(L.input.size(), ni);
+  ASSERT_EQ(L.state[0].size(), na);
+  ASSERT_EQ(L.state[1].size(), nb);
+  ASSERT_EQ(L.total(), static_cast<int>(ni + 2 * (na + nb)));
+  ASSERT_EQ(L.role.size(), L.next_to_present.size());
+  std::vector<int> seen;
+  for (std::size_t j = 0; j < ni; ++j) {
+    const int x = L.input_var(static_cast<int>(j));
+    seen.push_back(x);
+    EXPECT_EQ(L.role[static_cast<std::size_t>(x)], v::VarRole::Input);
+    EXPECT_EQ(L.next_to_present[static_cast<std::size_t>(x)], x);
+  }
+  for (v::Side side : {v::Side::A, v::Side::B}) {
+    const bool a = side == v::Side::A;
+    const std::size_t n = a ? na : nb;
+    for (std::size_t k = 0; k < n; ++k) {
+      const int s = L.state_var(side, static_cast<int>(k));
+      const int x = L.next_var(side, static_cast<int>(k));
+      EXPECT_EQ(x, s + 1);
+      seen.push_back(s);
+      seen.push_back(x);
+      EXPECT_EQ(L.role[static_cast<std::size_t>(s)],
+                a ? v::VarRole::AState : v::VarRole::BState);
+      EXPECT_EQ(L.role[static_cast<std::size_t>(x)],
+                a ? v::VarRole::ANext : v::VarRole::BNext);
+      EXPECT_EQ(L.next_to_present[static_cast<std::size_t>(s)], s);
+      EXPECT_EQ(L.next_to_present[static_cast<std::size_t>(x)], s);
+    }
+  }
+  std::sort(seen.begin(), seen.end());
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    ASSERT_EQ(seen[i], static_cast<int>(i)) << "not a permutation";
+  }
+}
+
+bool same_layout(const v::ProductLayout& x, const v::ProductLayout& y) {
+  return x.input == y.input && x.state[0] == y.state[0] &&
+         x.state[1] == y.state[1] && x.role == y.role &&
+         x.next_to_present == y.next_to_present;
+}
+
+}  // namespace
+
+TEST(ProductLayout, WalksOutputsThenNextStateFunctions) {
+  // A: y = i2 & ra1, ra1' = ra0, ra0' = i0 ^ ra0.  B: y = i2 & rb0,
+  // rb0' = i1.  Outputs first (i2, ra1, rb0), then next-state functions
+  // alternating A and B (ra1's finds ra0, rb0's finds i1, ra0's finds i0).
+  c::GateNetlist a, b;
+  std::vector<c::LitId> ia, ib;
+  for (int j = 0; j < 3; ++j) {
+    ia.push_back(a.add_input("i" + std::to_string(j)));
+    ib.push_back(b.add_input("i" + std::to_string(j)));
+  }
+  c::LitId ra0 = a.add_dff("ra0", false), ra1 = a.add_dff("ra1", true);
+  a.add_output("y", a.add_gate(c::GateOp::And, ia[2], ra1));
+  a.set_dff_next(ra1, ra0);
+  a.set_dff_next(ra0, a.add_gate(c::GateOp::Xor, ia[0], ra0));
+  c::LitId rb0 = b.add_dff("rb0", false);
+  b.add_output("y", b.add_gate(c::GateOp::And, ib[2], rb0));
+  b.set_dff_next(rb0, ib[1]);
+
+  v::ProductLayout L = v::product_layout({{&a, &b}});
+  expect_layout_invariants(L, 3, 2, 1);
+  EXPECT_EQ(L.input, (std::vector<int>{8, 7, 0}));
+  EXPECT_EQ(L.state[0], (std::vector<int>{5, 1}));
+  EXPECT_EQ(L.state[1], (std::vector<int>{3}));
+  EXPECT_TRUE(same_layout(L, v::product_layout({{&a, &b}})));
+}
+
+TEST(ProductLayout, InvariantsAndDeterminismOnRetimedPairs) {
+  for (const char* spec : {"fig2:4", "fig2deep:4:3", "ctrl:2:5", "pipe:4:2",
+                           "mult:4"}) {
+    SCOPED_TRACE(spec);
+    Pair p = spec_pair(spec);
+    v::ProductLayout L = v::product_layout({{&p.a, &p.b}});
+    expect_layout_invariants(L, p.a.inputs().size(),
+                             static_cast<std::size_t>(p.a.ff_count()),
+                             static_cast<std::size_t>(p.b.ff_count()));
+    EXPECT_EQ(L.total(), v::product_var_count(p.a, p.b));
+    EXPECT_TRUE(same_layout(L, v::product_layout({{&p.a, &p.b}})));
+  }
+  // A batch covers its largest input and register counts.
+  Pair small = spec_pair("fig2:2"), big = spec_pair("ctrl:2:5");
+  v::ProductLayout L =
+      v::product_layout({{&small.a, &small.b}, {&big.a, &big.b}});
+  expect_layout_invariants(
+      L, std::max(small.a.inputs().size(), big.a.inputs().size()),
+      static_cast<std::size_t>(std::max(small.a.ff_count(), big.a.ff_count())),
+      static_cast<std::size_t>(std::max(small.b.ff_count(), big.b.ff_count())));
+}
+
+TEST(ProductLayout, IdenticalConesInOneBatchShareTheirNodes) {
+  // Two copies of one pair (distinct objects) in one batch: the second
+  // product is the first, node for node.
+  Pair p = spec_pair("fig2deep:4:3");
+  Pair q = spec_pair("fig2deep:4:3");
+  v::ProductLayout L = v::product_layout({{&p.a, &p.b}, {&q.a, &q.b}});
+  EXPECT_TRUE(same_layout(L, v::product_layout({{&p.a, &p.b}})));
+  eda::bdd::BddManager mgr(L.total());
+  v::Product first = v::build_product(mgr, L, p.a, p.b);
+  const std::size_t nodes = mgr.node_table_size();
+  v::Product second = v::build_product(mgr, L, q.a, q.b);
+  EXPECT_EQ(mgr.node_table_size(), nodes);
+  EXPECT_EQ(second.miscompare, first.miscompare);
+  EXPECT_EQ(second.a.next_fn, first.a.next_fn);
+  EXPECT_EQ(second.b.next_fn, first.b.next_fn);
+  EXPECT_EQ(second.quantify, first.quantify);
+}
+
+TEST(ProductLayout, DeepChainIsWalkedWithoutRecursion) {
+  // 200,000 inverters between the input and the output: a recursive walk
+  // would overflow the call stack long before the end.
+  c::GateNetlist a = tl::inverter_chain(200000);
+  c::GateNetlist b = tl::inverter_chain(200002);
+  v::ProductLayout L = v::product_layout({{&a, &b}});
+  expect_layout_invariants(L, 1, 0, 0);
+  v::VerifyResult res = check(v::Engine::Eijk, a, b);
+  ASSERT_TRUE(res.completed);
+  EXPECT_TRUE(res.equivalent);
 }
