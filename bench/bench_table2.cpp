@@ -65,8 +65,8 @@ int main(int argc, char** argv) {
   // checkers are independent of each other once the HASH step produced the
   // retimed netlist — fan everything out through the pool and print in
   // order.  The HASH steps replay kernel inference concurrently across
-  // rows (sharded interner); each checker owns its BddManager / state
-  // table (confinement, see bdd/bdd.h).
+  // rows (sharded interner); each checker runs on its thread's own
+  // BddManager or its own state table (confinement, see bdd/bdd.h).
   using eda::bench::TableRow;
   const auto benches = eda::bench_gen::iwls_benchmarks();
   auto compute_row = [&](const eda::bench_gen::BenchCircuit& bench) {

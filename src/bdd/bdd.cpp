@@ -13,6 +13,14 @@ constexpr int kTermVar = std::numeric_limits<int>::max();
 constexpr std::size_t kMaxNodes = std::size_t{1} << 30;
 constexpr std::size_t kInitialSlots = 1024;  // unique table and cache
 constexpr std::size_t kMaxCacheEntries = std::size_t{1} << 20;
+// reset() clears a node's unique-table slot by re-hashing the node (a few
+// nanoseconds, mostly the probe's cache miss) while the last problem's
+// nodes fill less than 1/kSparseReset of the slots; past that, one sweep
+// over the table's 4-byte slots costs less.
+constexpr std::size_t kSparseReset = 16;
+// Generations fit the op tag's high bits; the cache is wiped when they
+// run out.
+constexpr std::uint32_t kGenerations = std::uint32_t{1} << 29;
 // Node requests between two reads of the clock against the deadline: a
 // read costs tens of nanoseconds, 4096 requests tens of microseconds.
 constexpr int kDeadlineStride = 4096;
@@ -38,6 +46,34 @@ BddManager::BddManager(int num_vars, std::size_t node_limit)
   if (num_vars < 0) throw BddError("negative variable count");
   nodes_.reserve(kInitialSlots / 2);
   nodes_.push_back({kTermVar, 0, 0, 0});  // FALSE
+}
+
+void BddManager::reset(int num_vars, std::size_t node_limit) {
+  if (num_vars < 0) throw BddError("negative variable count");
+  const std::size_t mask = unique_.size() - 1;
+  if (kSparseReset * nodes_.size() < unique_.size()) {
+    // Every node sits in exactly one slot on its probe path; searching for
+    // the index itself, not for an empty slot, stays exact while earlier
+    // slots on the path are being cleared.
+    for (std::uint32_t idx = 1; idx < nodes_.size(); ++idx) {
+      const Node& n = nodes_[idx];
+      std::size_t i = mix(word(n.var), word(n.lo), word(n.hi)) & mask;
+      while (unique_[i] != idx) i = (i + 1) & mask;
+      unique_[i] = 0;
+    }
+  } else {
+    std::fill(unique_.begin(), unique_.end(), 0);
+  }
+  nodes_.resize(1);  // the FALSE terminal
+  if (++generation_ == kGenerations) {
+    std::fill(cache_.begin(), cache_.end(), CacheEntry{});
+    generation_ = 1;
+  }
+  num_vars_ = num_vars;
+  node_limit_ = std::min(node_limit, kMaxNodes);
+  rename_maps_.clear();
+  epoch_ = 0;
+  set_deadline(std::chrono::steady_clock::time_point::max());
 }
 
 void BddManager::check_var(int index) const {
@@ -98,7 +134,10 @@ void BddManager::grow_tables() {
   std::vector<CacheEntry> old(want);
   old.swap(cache_);
   for (const CacheEntry& e : old) {
-    if (e.op != Op::None) cache_[cache_slot(e.op, e.f, e.g, e.h)] = e;
+    if (e.tag >> kOpBits == generation_) {
+      const auto op = static_cast<Op>(e.tag & ((1u << kOpBits) - 1));
+      cache_[cache_slot(op, e.f, e.g, e.h)] = e;
+    }
   }
 }
 
@@ -110,13 +149,15 @@ std::size_t BddManager::cache_slot(Op op, BddId f, BddId g, BddId h) const {
 bool BddManager::cache_find(Op op, BddId f, BddId g, BddId h,
                             BddId& result) const {
   const CacheEntry& e = cache_[cache_slot(op, f, g, h)];
-  if (e.op != op || e.f != f || e.g != g || e.h != h) return false;
+  if (e.tag != cache_tag(op) || e.f != f || e.g != g || e.h != h) {
+    return false;
+  }
   result = e.result;
   return true;
 }
 
 void BddManager::cache_store(Op op, BddId f, BddId g, BddId h, BddId result) {
-  cache_[cache_slot(op, f, g, h)] = {op, f, g, h, result};
+  cache_[cache_slot(op, f, g, h)] = {cache_tag(op), f, g, h, result};
 }
 
 BddId BddManager::var(int index) {

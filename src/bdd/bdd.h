@@ -33,10 +33,11 @@ class BddTimeout : public BddError {
 /// baselines — the data structure whose exponential growth the paper's
 /// tables demonstrate.
 ///
-/// - Nodes live in one flat array and are never freed.  A node's lo edge
-///   is always regular (the complement moves onto the edge pointing at
-///   the node), so a function and its negation share one node and `lnot`
-///   is O(1).
+/// - Nodes live in one flat array and are never freed within a problem;
+///   reset() empties the array for the next one and keeps its capacity.
+///   A node's lo edge is always regular (the complement moves onto the
+///   edge pointing at the node), so a function and its negation share one
+///   node and `lnot` is O(1).
 /// - The unique table is open addressing with linear probing over node
 ///   indices, kept at most half full.
 /// - One direct-mapped, lossy computed cache serves and, xor, ite,
@@ -45,7 +46,8 @@ class BddTimeout : public BddError {
 ///   the key as a cube BDD and a rename map as its index among the maps
 ///   this manager has seen, so keys are canonical across calls.  The cache
 ///   starts at 1024 entries and doubles with the unique table up to 2^20
-///   entries (20 MB).
+///   entries (20 MB).  Each tag also carries the manager's generation,
+///   which reset() bumps, so no entry outlives its problem.
 /// - Node budget: creating a node that would make `node_table_size()`
 ///   (terminal included) exceed `node_limit` throws BddError.  The limit
 ///   is clamped to 2^30 so a handle fits an int.
@@ -53,20 +55,36 @@ class BddTimeout : public BddError {
 ///   throws BddTimeout within a few thousand node requests, so one long
 ///   apply cannot run on past its caller's budget.
 ///
+/// Reuse, after CUDD's long-lived manager: reset() starts a new problem in
+/// the tables the last one grew, at a cost proportional to what that
+/// problem created, never to the table size.  A reset manager creates the
+/// same nodes, in the same order, as a fresh one given the same calls.
+///
 /// Threading model: *confinement*, not sharing.  A BddManager instance is
-/// owned by exactly one thread at a time: the one running its
-/// verify::check_batch call (verify/batch_bdd.h).  Within that thread a
-/// manager may serve many obligations at once — a batch's product
-/// machines share one variable order (verify::product_layout), so logic
-/// they share interns to the same nodes — but it is never shared across
-/// threads; locking these tables would only serialise the deeply
-/// recursive apply walks.
+/// owned by exactly one thread at a time.  verify::check_batch
+/// (verify/batch_bdd.h) leases its thread's one manager for the length of
+/// a call and resets it for the next.  Within that call a manager may
+/// serve many obligations at once — a batch's product machines share one
+/// variable order (verify::product_layout), so logic they share interns to
+/// the same nodes — but it is never shared across threads; locking these
+/// tables would only serialise the deeply recursive apply walks.
 class BddManager {
  public:
   explicit BddManager(int num_vars, std::size_t node_limit = 50'000'000);
 
+  /// Start a new problem, as if freshly constructed with these arguments,
+  /// in the tables the last problem grew.  Every handle from before the
+  /// reset is invalid after it.  Costs what the last problem created: its
+  /// nodes' unique-table slots are cleared one by one, or the table in one
+  /// sweep when they filled a large part of it; the computed cache is
+  /// invalidated in O(1) by a new generation; rename maps, the support
+  /// epoch and the deadline are cleared.  Valid after any BddError.
+  void reset(int num_vars, std::size_t node_limit = 50'000'000);
+
   int num_vars() const { return num_vars_; }
   std::size_t node_table_size() const { return nodes_.size(); }
+  /// The node count at which the tables next grow: the room reset keeps.
+  std::size_t node_capacity() const { return unique_.size() / 2; }
   /// Operations throw BddTimeout once the steady clock passes `t` (none
   /// by default).  Any state they leave is valid, as after BddError.
   void set_deadline(std::chrono::steady_clock::time_point t);
@@ -111,7 +129,6 @@ class BddManager {
     std::uint32_t mark = 0;  // support() visit epoch
   };
   enum class Op : std::uint32_t {
-    None,
     And,
     Xor,
     Ite,
@@ -120,10 +137,16 @@ class BddManager {
     Cofactor,
     Rename,
   };
+  /// Op tags: the op in the low kOpBits bits, the generation it was
+  /// stored in above them.  Generations start at 1, so a zeroed (empty)
+  /// entry never matches.  The slot hashes the op alone.
+  static constexpr unsigned kOpBits = 3;
+  static_assert(static_cast<std::uint32_t>(Op::Rename) < (1u << kOpBits));
   struct CacheEntry {
-    Op op = Op::None;
+    std::uint32_t tag = 0;
     BddId f = 0, g = 0, h = 0, result = 0;
   };
+  static_assert(sizeof(CacheEntry) == 20);
 
   int level(BddId f) const {
     return nodes_[static_cast<std::size_t>(f >> 1)].var;
@@ -134,6 +157,9 @@ class BddManager {
   void check_deadline();
   BddId mk(int var, BddId lo, BddId hi);
   void grow_tables();
+  std::uint32_t cache_tag(Op op) const {
+    return generation_ << kOpBits | static_cast<std::uint32_t>(op);
+  }
   std::size_t cache_slot(Op op, BddId f, BddId g, BddId h) const;
   bool cache_find(Op op, BddId f, BddId g, BddId h, BddId& result) const;
   void cache_store(Op op, BddId f, BddId g, BddId h, BddId result);
@@ -148,6 +174,7 @@ class BddManager {
   std::vector<Node> nodes_;
   std::vector<std::uint32_t> unique_;  // node index per slot, 0 = empty
   std::vector<CacheEntry> cache_;
+  std::uint32_t generation_ = 1;  // of the current problem's cache entries
   std::vector<std::vector<int>> rename_maps_;  // dense var -> var maps
   std::uint32_t epoch_ = 0;
   std::chrono::steady_clock::time_point deadline_ =

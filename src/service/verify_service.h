@@ -230,9 +230,10 @@ struct ServiceOptions {
 ///
 /// Threading model: a job's obligations fan out over the same pool the
 /// jobs run on, and its engine tail shares ONE BddManager (check_batch),
-/// confined to the thread that runs it; retries run alone on private
-/// managers.  Cross-job sharing happens in the kernel (interner, memo
-/// tables) and in the service's goal caches, both concurrency-safe.
+/// confined to the thread that runs it; retries run alone, each on its
+/// thread's manager, reset.  Cross-job sharing happens in the kernel
+/// (interner, memo tables) and in the service's goal caches, both
+/// concurrency-safe.
 class VerifyService {
  public:
   explicit VerifyService(ServiceOptions opts = {});

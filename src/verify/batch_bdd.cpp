@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 
 #include "verify/sis_fsm.h"
 #include "verify/symbolic.h"
@@ -14,6 +15,45 @@ using bdd::BddManager;
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// A manager whose tables have room for more nodes than this is freed when
+/// its lease ends instead of kept for the thread's next batch, so one
+/// Table II blow-up does not stay resident in a worker thread.  At the cap
+/// an idle manager holds 8 MB: 2^17 nodes of 16 bytes, 2^18 unique-table
+/// slots of 4 and as many 20-byte cache entries.  posthoc_check's
+/// problems (about 4.5 K nodes) and the largest cone_cold batch (about
+/// 120 K) stay under it.
+constexpr std::size_t kMaxIdleNodes = std::size_t{1} << 17;
+
+/// The thread's idle manager, kept between check_batch calls.
+thread_local std::unique_ptr<BddManager> t_idle_manager;
+
+/// check_batch's manager: the thread's idle one, reset for this call, or a
+/// new one when the thread has none (its first call, or a lease already
+/// holds it).  The lease hands it back when the call ends.
+class ManagerLease {
+ public:
+  ManagerLease(int num_vars, std::size_t node_limit)
+      : mgr_(std::move(t_idle_manager)) {
+    if (mgr_) {
+      mgr_->reset(num_vars, node_limit);
+    } else {
+      mgr_ = std::make_unique<BddManager>(num_vars, node_limit);
+    }
+  }
+  ~ManagerLease() {
+    if (mgr_->node_capacity() <= kMaxIdleNodes) {
+      t_idle_manager = std::move(mgr_);
+    }
+  }
+  ManagerLease(const ManagerLease&) = delete;
+  ManagerLease& operator=(const ManagerLease&) = delete;
+
+  BddManager& operator*() { return *mgr_; }
+
+ private:
+  std::unique_ptr<BddManager> mgr_;
+};
 
 /// Per-task traversal state, one record per live BDD job.  Everything
 /// node-shaped lives in the shared manager, everything task-shaped here.
@@ -192,35 +232,40 @@ std::vector<VerifyResult> check_batch(const std::vector<CheckJob>& jobs) {
     tasks.back().index = i;
   }
   if (tasks.empty()) return out;
-  // The pool holds every task's nodes at once (the manager never frees),
-  // so one job's limit is far too small a budget for a big batch: size it
-  // to the whole batch's aggregate budget, capped at 8x the largest job.
-  // Tasks the capped pool still can't finish are re-run alone below, so
-  // the cap costs performance, never verdicts.  Every task shares one
-  // variable order, which is what makes the shared pool pay: identical
-  // logic in different cones interns to identical nodes.
+  // The pool holds every task's nodes at once (nodes are freed only
+  // between batches), so one job's limit is far too small a budget for a
+  // big batch: size it to the whole batch's aggregate budget, capped at 8x
+  // the largest job.  Tasks the capped pool still can't finish are re-run
+  // alone below, so the cap costs performance, never verdicts.  Every task
+  // shares one variable order, which is what makes the shared pool pay:
+  // identical logic in different cones interns to identical nodes.
   const ProductLayout layout = product_layout(pairs);
-  BddManager mgr(std::max(1, layout.total()),
-                 std::min(sum_limit, 8 * max_limit));
-  for (Task& t : tasks) {
-    run_phase(mgr, t, [&] { build_task(mgr, layout, t); });
-  }
-
-  // Round-robin one image step per live task per round.  Short tasks
-  // retire early and stop paying; long tasks keep the warmed apply cache.
-  bool any_live = true;
-  while (any_live) {
-    any_live = false;
+  {
+    ManagerLease lease(std::max(1, layout.total()),
+                       std::min(sum_limit, 8 * max_limit));
+    BddManager& mgr = *lease;
     for (Task& t : tasks) {
-      if (t.done) continue;
-      run_phase(mgr, t, [&] { step_task(mgr, layout, t); });
-      if (!t.done) any_live = true;
+      run_phase(mgr, t, [&] { build_task(mgr, layout, t); });
+    }
+
+    // Round-robin one image step per live task per round.  Short tasks
+    // retire early and stop paying; long tasks keep the warmed apply
+    // cache.
+    bool any_live = true;
+    while (any_live) {
+      any_live = false;
+      for (Task& t : tasks) {
+        if (t.done) continue;
+        run_phase(mgr, t, [&] { step_task(mgr, layout, t); });
+        if (!t.done) any_live = true;
+      }
     }
   }
   for (Task& t : tasks) {
-    // A task the SHARED pool starved gets a private pool and its own node
-    // budget, as a batch of one.  Alone, the pool already was its own, so
-    // the failure stands.
+    // A task the SHARED pool starved gets its own node budget, as a batch
+    // of one; the lease has ended, so the re-run resets the same warm
+    // manager.  Alone, the pool already was its own, so the failure
+    // stands.
     if (t.poisoned && tasks.size() > 1) {
       double spent = t.res.seconds;
       t.res = check_batch({*t.job}).front();

@@ -41,11 +41,19 @@ namespace eda::verify {
 /// manager's deadline (BddManager::set_deadline) stops a build or an image
 /// step that runs past what is left of the task's budget.  The pool's node
 /// budget is the batch's aggregate per-job budget (capped at 8x the
-/// largest single job — the manager never frees, so the pool must hold
-/// every task's nodes at once); tasks the shared pool starves are re-run
-/// as batches of one under their own limits, so batching can cost time
-/// but never changes a verdict.  SisFsm jobs are explicit-state, have
-/// nothing to share, and run sis_fsm_check directly.
+/// largest single job — nodes are freed only between calls, so the pool
+/// must hold every task's nodes at once); tasks the shared pool starves
+/// are re-run as batches of one under their own limits once the batch is
+/// done, so batching can cost time but never changes a verdict.  SisFsm
+/// jobs are explicit-state, have nothing to share, and run sis_fsm_check
+/// directly.
+///
+/// The manager: each thread keeps one BddManager and every call on that
+/// thread leases it, reset to the call's variable count and node budget
+/// (BddManager::reset), so a call pays for what its problems create, not
+/// for growing fresh tables.  A manager that grew past a fixed cap is
+/// freed when its lease ends.  Budgets, `peak` and every verdict read as
+/// they would on a fresh manager: a reset one creates the same nodes.
 std::vector<VerifyResult> check_batch(const std::vector<CheckJob>& jobs);
 
 }  // namespace eda::verify

@@ -36,10 +36,11 @@ VerifyResult run_check(const CheckJob& job);
 /// results in input order.
 ///
 /// Threading model: a BddManager is confined to the thread that runs its
-/// check_batch call — here one per job, on the service's engine tail one
-/// shared pool per job's batch of obligations.  Managers are never shared
-/// across threads; cross-job sharing happens in the kernel's concurrent
-/// interner and the hash layer's memo tables.
+/// check_batch call — each thread keeps one and resets it for every call:
+/// here one call per job, on the service's engine tail one per job's batch
+/// of obligations.  Managers are never shared across threads; cross-job
+/// sharing happens in the kernel's concurrent interner and the hash
+/// layer's memo tables.
 std::vector<VerifyResult> check_parallel(const std::vector<CheckJob>& jobs);
 
 }  // namespace eda::verify

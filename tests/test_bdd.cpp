@@ -468,3 +468,156 @@ TEST(Bdd, LongRandomSequenceGrowsTablesMidRecursion) {
     ++kind;
   }
 }
+
+// --- One manager reused across problems (BddManager::reset) ---------------
+
+namespace {
+
+/// What a caller can see of one problem: node_table_size() after each
+/// operation, and each result's support and value under random
+/// assignments.
+struct Observed {
+  std::vector<std::size_t> sizes;
+  std::vector<std::vector<int>> supports;
+  std::vector<bool> values;
+  bool operator==(const Observed& o) const {
+    return sizes == o.sizes && supports == o.supports && values == o.values;
+  }
+};
+
+/// A seeded random problem over `nv` variables: `ops` operations of every
+/// kind on a pool that starts with the variables, on `m` (fresh or just
+/// reset).
+Observed run_problem(BddManager& m, unsigned seed, int nv, int ops) {
+  std::mt19937 rng(seed);
+  std::vector<BddId> pool;
+  for (int v = 0; v < nv; ++v) pool.push_back(m.var(v));
+  std::vector<int> next_to_present, swap;
+  for (int v = 0; v < nv; ++v) {
+    next_to_present.push_back(v - v % 2);
+    swap.push_back(nv - 1 - v);
+  }
+  auto pick = [&] {
+    return pool[rng() % pool.size()] ^ static_cast<BddId>(rng() % 2);
+  };
+  Observed out;
+  std::vector<bool> env(static_cast<std::size_t>(nv));
+  for (int k = 0; k < ops; ++k) {
+    const BddId a = pick(), b = pick(), c = pick();
+    std::vector<int> q;
+    for (int v = 0; v < nv; ++v) {
+      if (rng() % 4 == 0) q.push_back(v);
+    }
+    const int v = static_cast<int>(rng() % static_cast<unsigned>(nv));
+    BddId r = 0;
+    switch (rng() % 8) {
+      case 0: r = m.land(a, b); break;
+      case 1: r = m.lxor(a, b); break;
+      case 2: r = m.ite(a, b, c); break;
+      case 3: r = m.exists(a, q); break;
+      case 4: r = m.and_exists(a, b, q); break;
+      case 5: r = m.rename(a, next_to_present); break;
+      case 6: r = m.cofactor(a, v, rng() % 2 != 0); break;
+      default: r = m.rename(a, swap); break;
+    }
+    pool.push_back(r);
+    out.sizes.push_back(m.node_table_size());
+    out.supports.push_back(m.support(r));
+    for (int trial = 0; trial < 4; ++trial) {
+      for (std::size_t x = 0; x < env.size(); ++x) env[x] = rng() % 2 != 0;
+      out.values.push_back(m.eval(r, env));
+    }
+  }
+  return out;
+}
+
+/// `m` (just reset to `nv` variables) must behave as a fresh manager on a
+/// seeded problem.
+void expect_matches_fresh(BddManager& m, unsigned seed, int nv, int ops) {
+  BddManager fresh(nv);
+  const Observed want = run_problem(fresh, seed, nv, ops);
+  EXPECT_TRUE(run_problem(m, seed, nv, ops) == want)
+      << "seed " << seed << ", " << nv << " vars, " << ops << " ops";
+}
+
+}  // namespace
+
+TEST(BddReset, EachProblemMatchesAFreshManager) {
+  // Problem sizes from a handful of nodes to tens of thousands, in an
+  // order that resets both after problems that left the grown tables
+  // sparse and after ones that filled them.
+  BddManager m(1);
+  std::mt19937 rng(7);
+  for (int problem = 0; problem < 24; ++problem) {
+    const int nv = 2 + static_cast<int>(rng() % 23);
+    const int ops = problem % 3 == 0 ? 2000 : 5 + static_cast<int>(rng() % 300);
+    m.reset(nv);
+    expect_matches_fresh(m, 100 + static_cast<unsigned>(problem), nv, ops);
+  }
+}
+
+TEST(BddReset, NoComputedCacheEntryCrossesAReset) {
+  BddManager m(3);
+  const BddId x0 = m.var(0), x1 = m.var(1);
+  const BddId conj = m.land(x0, x1);
+  m.lxor(x0, x1);
+  m.reset(3);
+  // The same handles now denote x1 and x2, and conj's old handle denotes
+  // x0: a cached (and, x0, x1) or (xor, x0, x1) would answer wrongly.
+  const BddId p = m.var(1), q = m.var(2), r = m.var(0);
+  ASSERT_EQ(p, x0);
+  ASSERT_EQ(q, x1);
+  ASSERT_EQ(r, conj);
+  const BddId pq_and = m.land(p, q), pq_xor = m.lxor(p, q);
+  for (int a = 0; a < 8; ++a) {
+    const std::vector<bool> env = {(a & 1) != 0, (a & 2) != 0, (a & 4) != 0};
+    EXPECT_EQ(m.eval(pq_and, env), env[1] && env[2]) << a;
+    EXPECT_EQ(m.eval(pq_xor, env), env[1] != env[2]) << a;
+  }
+  EXPECT_EQ(m.node_table_size(), 6u);  // x1, x2, x0 and the two results
+}
+
+TEST(BddReset, NodeBudgetIsPerProblem) {
+  // AND over k of (x_k xor x_k+20) under this order keeps every x_k < 20
+  // live: about 2^k nodes.
+  auto blow_up = [](BddManager& m) {
+    BddId f = m.true_bdd();
+    for (int k = 0; k < 20 && m.node_table_size() < 10'000; ++k) {
+      f = m.land(f, m.lxor(m.var(k), m.var(k + 20)));
+    }
+  };
+  BddManager m(40);
+  blow_up(m);
+  ASSERT_GE(m.node_table_size(), 10'000u);
+  m.reset(40, 100);
+  EXPECT_THROW(blow_up(m), b::BddError);
+  EXPECT_EQ(m.node_table_size(), 100u);
+  m.reset(8, 100);
+  expect_matches_fresh(m, 3, 8, 20);
+}
+
+TEST(BddReset, ResetAfterAnInterruptedOperation) {
+  BddManager m(24);
+  // A BddTimeout thrown from inside an apply's recursion.
+  BddId f = m.true_bdd(), g = m.false_bdd();
+  for (int k = 0; k < 12; ++k) {
+    f = m.lxor(f, m.land(m.var(k), m.var(k + 12)));
+    g = m.lor(g, m.lxor(m.var(2 * k), m.var(23 - k)));
+  }
+  m.set_deadline(std::chrono::steady_clock::now() - std::chrono::seconds(1));
+  EXPECT_THROW(m.land(f, g), b::BddTimeout);
+  m.reset(12);
+  expect_matches_fresh(m, 11, 12, 500);
+  // A node-limit BddError, also mid-operation.
+  m.reset(40, 500);
+  EXPECT_THROW(
+      {
+        BddId h = m.true_bdd();
+        for (int k = 0; k < 20; ++k) {
+          h = m.land(h, m.lxor(m.var(k), m.var(k + 20)));
+        }
+      },
+      b::BddError);
+  m.reset(16);
+  expect_matches_fresh(m, 12, 16, 500);
+}

@@ -9,12 +9,14 @@
 #include <functional>
 #include <set>
 #include <sstream>
+#include <thread>
 
 #include "bench_gen/fig2.h"
 #include "bench_gen/iwls.h"
 #include "circuit/bitblast.h"
 #include "hash/retime_step.h"
 #include "testlib/gen.h"
+#include "verify/batch_bdd.h"
 #include "verify/parallel_verify.h"
 #include "verify/sis_fsm.h"
 #include "verify/symbolic.h"
@@ -801,4 +803,96 @@ TEST(ProductLayout, DeepChainIsWalkedWithoutRecursion) {
   v::VerifyResult res = check(v::Engine::Eijk, a, b);
   ASSERT_TRUE(res.completed);
   EXPECT_TRUE(res.equivalent);
+}
+
+namespace {
+
+bool same_verdict(const v::VerifyResult& x, const v::VerifyResult& y) {
+  return x.completed == y.completed && x.equivalent == y.equivalent &&
+         x.iterations == y.iterations && x.failure == y.failure;
+}
+
+}  // namespace
+
+TEST(BatchManager, FourThreadsAtOnceMatchSerial) {
+  // Each thread leases its own manager and resets it between calls; the
+  // calls interleave batches of one with whole batches, in a different
+  // order on each thread.
+  std::vector<Pair> pairs;
+  for (const char* spec : {"fig2:3", "fig2deep:4:2", "ctrl:2:3", "pipe:4:2",
+                           "mult:3"}) {
+    pairs.push_back(spec_pair(spec));
+  }
+  std::vector<v::CheckJob> jobs;
+  for (const Pair& p : pairs) {
+    for (v::Engine e : {v::Engine::Eijk, v::Engine::EijkPlus, v::Engine::Smv}) {
+      jobs.push_back({&p.a, &p.b, e, {}});
+    }
+  }
+  std::vector<v::VerifyResult> serial;
+  for (const v::CheckJob& job : jobs) serial.push_back(v::run_check(job));
+
+  const std::size_t n = jobs.size();
+  std::vector<std::vector<v::VerifyResult>> got(4);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 2; ++round) {
+        for (std::size_t k = 0; k < n; ++k) {
+          got[t].push_back(v::run_check(jobs[(k + 3 * t) % n]));
+        }
+        std::vector<v::CheckJob> batch;
+        for (std::size_t k = 0; k < n; ++k) batch.push_back(jobs[(k + t) % n]);
+        for (const v::VerifyResult& r : v::check_batch(batch)) {
+          got[t].push_back(r);
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (std::size_t t = 0; t < 4; ++t) {
+    ASSERT_EQ(got[t].size(), 4 * n);
+    for (std::size_t i = 0; i < got[t].size(); ++i) {
+      const std::size_t k = i % (2 * n);
+      const std::size_t job = k < n ? (k + 3 * t) % n : (k - n + t) % n;
+      EXPECT_TRUE(same_verdict(got[t][i], serial[job]))
+          << "thread " << t << ", call " << i << ", job " << job;
+    }
+  }
+}
+
+TEST(BatchManager, StarvedPoolReRunsMatchRunningAlone) {
+  // Twelve distinct cones, each with a node budget that just fits it
+  // alone.  The batch's pool is capped at 8x the largest budget, which
+  // the twelve together overflow, so the tasks it starves are re-run as
+  // batches of one; every verdict must be the one it gets alone.
+  std::vector<Pair> pairs;
+  for (const char* spec :
+       {"fig2:3", "fig2:4", "fig2deep:3:3", "fig2deep:4:2", "fig2deep:4:3",
+        "fig2deep:5:2", "mult:3", "mult:4", "ctrl:1:5", "ctrl:2:3",
+        "ctrl:3:2", "pipe:4:2"}) {
+    pairs.push_back(spec_pair(spec));
+  }
+  std::vector<v::CheckJob> jobs;
+  std::size_t limit = 0;
+  for (const Pair& p : pairs) {
+    jobs.push_back({&p.a, &p.b, v::Engine::Eijk, {}});
+    limit = std::max(limit, v::run_check(jobs.back()).peak);
+  }
+  // Unbounded, the batch creates the same nodes in the same order as the
+  // bounded one until the bounded pool runs out, so this shows it does.
+  std::size_t unbounded = 0;
+  for (const v::VerifyResult& r : v::check_batch(jobs)) {
+    unbounded = std::max(unbounded, r.peak);
+  }
+  ASSERT_GT(unbounded, 8 * limit);
+
+  for (v::CheckJob& job : jobs) job.opts.node_limit = limit;
+  const std::vector<v::VerifyResult> batch = v::check_batch(jobs);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const v::VerifyResult alone = v::run_check(jobs[i]);
+    ASSERT_TRUE(alone.completed) << i;
+    EXPECT_TRUE(same_verdict(batch[i], alone)) << "task " << i;
+    EXPECT_LE(batch[i].peak, 8 * limit) << "task " << i;
+  }
 }
