@@ -11,9 +11,13 @@
 //   engine_ms        check_batch over five retimed pairs under eijk, eijk+
 //                    and smv, one batch of one per cell as run_check sends
 //                    it: each engine's cells summed and the pass's total,
-//                    each the best of 5 passes after a warm-up pass that
+//                    each the best of 20 passes after a warm-up pass that
 //                    also checks every verdict (exit 1 on any that is not
 //                    a completed EQUIV).
+//
+// The run also exits 1 when fig2:8's product setup in a reset manager is
+// not faster than in a fresh one, both measured in this process: the
+// baseline gate's threshold is wider than that difference.
 //
 // Like bench_parallel, no google-benchmark: steady_clock around explicit
 // batches.
@@ -44,6 +48,9 @@ using Clock = std::chrono::steady_clock;
 using eda::verify::Engine;
 
 constexpr int kBest = 5;
+// Timed engine passes, each about 10 ms: with 5, a run in 10 read a total
+// twice its engines' best sums, a host stall having landed in every pass.
+constexpr int kEnginePasses = 20;
 constexpr Engine kEngines[] = {Engine::Eijk, Engine::EijkPlus, Engine::Smv};
 constexpr std::size_t kNumEngines = std::size(kEngines);
 
@@ -51,16 +58,26 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-double ns_per_op(int iters, const std::function<void()>& op) {
-  op();
-  double best = 0.0;
+/// ns per op of each of `ops`: one warm-up call each, then the best of
+/// kBest timed batches.  The ops' batches take turns, so a drift in the
+/// machine's speed reaches each of them alike.
+std::vector<double> ns_per_op_each(
+    int iters, const std::vector<std::function<void()>>& ops) {
+  for (const std::function<void()>& op : ops) op();
+  std::vector<double> best(ops.size(), 0.0);
   for (int rep = 0; rep < kBest; ++rep) {
-    const Clock::time_point t0 = Clock::now();
-    for (int i = 0; i < iters; ++i) op();
-    const double ns = seconds_since(t0) * 1e9 / iters;
-    if (rep == 0 || ns < best) best = ns;
+    for (std::size_t k = 0; k < ops.size(); ++k) {
+      const Clock::time_point t0 = Clock::now();
+      for (int i = 0; i < iters; ++i) ops[k]();
+      const double ns = seconds_since(t0) * 1e9 / iters;
+      if (rep == 0 || ns < best[k]) best[k] = ns;
+    }
   }
   return best;
+}
+
+double ns_per_op(int iters, const std::function<void()>& op) {
+  return ns_per_op_each(iters, {op}).front();
 }
 
 struct Metric {
@@ -138,17 +155,18 @@ std::vector<Metric> run_micro() {
   // reset from the previous build (check_batch's per-thread manager).
   const Pair p = fig2_pair(8);
   const v::ProductLayout layout = v::product_layout({{&p.a, &p.b}});
-  const double fresh = ns_per_op(300, [&] {
+  b::BddManager reused(layout.total());
+  const auto fresh = [&] {
     b::BddManager m(layout.total());
     v::build_product(m, layout, p.a, p.b);
-  });
-  out.push_back({"product_setup_fresh_fig2_8", fresh});
-  b::BddManager reused(layout.total());
-  const double reset = ns_per_op(300, [&] {
+  };
+  const auto reset = [&] {
     reused.reset(layout.total());
     v::build_product(reused, layout, p.a, p.b);
-  });
-  out.push_back({"product_setup_reset_fig2_8", reset});
+  };
+  const std::vector<double> setup = ns_per_op_each(300, {fresh, reset});
+  out.push_back({"product_setup_fresh_fig2_8", setup[0]});
+  out.push_back({"product_setup_reset_fig2_8", setup[1]});
   return out;
 }
 
@@ -187,7 +205,7 @@ int main(int argc, char** argv) {
     }
   }
   std::vector<double> best(kNumEngines + 1, 0.0);  // per engine, total
-  for (int pass = 0; pass < kBest; ++pass) {
+  for (int pass = 0; pass < kEnginePasses; ++pass) {
     std::vector<double> ms(best.size(), 0.0);
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       const Clock::time_point t0 = Clock::now();
@@ -232,5 +250,18 @@ int main(int argc, char** argv) {
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());
+
+  double fresh = 0.0, reset = 0.0;
+  for (const Metric& m : micro) {
+    if (m.name == "product_setup_fresh_fig2_8") fresh = m.value;
+    if (m.name == "product_setup_reset_fig2_8") reset = m.value;
+  }
+  if (reset >= fresh) {
+    std::fprintf(stderr,
+                 "bench_bdd_micro: product setup in a reset manager %.1f "
+                 "ns >= fresh %.1f ns\n",
+                 reset, fresh);
+    return 1;
+  }
   return 0;
 }

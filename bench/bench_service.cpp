@@ -22,7 +22,8 @@
 // BENCH_service.json (CI uploads the artifact and gates its
 // service_seconds and service_metrics sections against
 // bench/baselines/BENCH_service.baseline.json; --check asserts batched >=
-// serial and warm >= serial for the acceptance gate).
+// serial, and warm at least kWarmSpeedup times faster than batched, for
+// the acceptance gate).
 //
 // Like bench_parallel, no google-benchmark dependency: steady_clock around
 // explicit batches is accurate at these durations.
@@ -48,6 +49,14 @@
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// --check's bar for the warm start: its throughput at least this many
+/// times the cold batched run's.  The warm run replays the saved cache in
+/// under a millisecond, too short for a gate on its seconds to see it
+/// slow down; its speedup over the same run's batched leg read 16.1-80.0
+/// over 37 runs on a 4-vCPU container, and the bar sits at half the
+/// lowest.
+constexpr double kWarmSpeedup = 8.0;
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
@@ -483,11 +492,11 @@ int main(int argc, char** argv) {
                  batched_tp, serial_tp);
     return 1;
   }
-  if (check && warm_tp < serial_tp) {
+  if (check && warm_tp < kWarmSpeedup * batched_tp) {
     std::fprintf(stderr,
                  "bench_service: --check: warm-start throughput %.2f < "
-                 "serial %.2f jobs/s\n",
-                 warm_tp, serial_tp);
+                 "%.0fx batched %.2f jobs/s\n",
+                 warm_tp, kWarmSpeedup, batched_tp);
     return 1;
   }
   if (check) {

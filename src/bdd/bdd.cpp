@@ -1,8 +1,11 @@
 #include "bdd/bdd.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <functional>
 #include <limits>
+#include <new>
 #include <numeric>
 
 namespace eda::bdd {
@@ -13,11 +16,18 @@ constexpr int kTermVar = std::numeric_limits<int>::max();
 constexpr std::size_t kMaxNodes = std::size_t{1} << 30;
 constexpr std::size_t kInitialSlots = 1024;  // unique table and cache
 constexpr std::size_t kMaxCacheEntries = std::size_t{1} << 20;
-// reset() clears a node's unique-table slot by re-hashing the node (a few
-// nanoseconds, mostly the probe's cache miss) while the last problem's
-// nodes fill less than 1/kSparseReset of the slots; past that, one sweep
-// over the table's 4-byte slots costs less.
-constexpr std::size_t kSparseReset = 16;
+// Tables of at least 1 MiB get pages of their own (mmap) instead of heap
+// memory, so freeing one returns them to the system at once and a manager
+// kept between problems pins no heap around it.  Left to malloc, tables
+// this large stay in the heap once glibc raises its mmap threshold after
+// the first large free, and each thread's heap keeps its high-water mark:
+// with heap tables `bench_table1 --max-n 24 --timeout 2 --jobs 4` peaked
+// at 131-146 MB with a fresh manager per call and at 139-163 MB with one
+// kept per thread, and at 101-108 MB with mapped ones (4-vCPU container).
+// Smaller tables stay on the heap, where a fresh manager reuses freed
+// memory: mapping every table from 128 KiB up made fig2:8's product in a
+// fresh manager take 116-134 us instead of 81-93 us.
+constexpr std::size_t kMappedTableBytes = std::size_t{1} << 20;
 // Generations fit the op tag's high bits; the cache is wiped when they
 // run out.
 constexpr std::uint32_t kGenerations = std::uint32_t{1} << 29;
@@ -48,22 +58,25 @@ BddManager::BddManager(int num_vars, std::size_t node_limit)
   nodes_.push_back({kTermVar, 0, 0, 0});  // FALSE
 }
 
+void* BddManager::allocate_table(std::size_t bytes) {
+  if (bytes < kMappedTableBytes) return ::operator new(bytes);
+  void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  return p;
+}
+
+void BddManager::free_table(void* p, std::size_t bytes) {
+  if (bytes < kMappedTableBytes) {
+    ::operator delete(p);
+  } else {
+    munmap(p, bytes);
+  }
+}
+
 void BddManager::reset(int num_vars, std::size_t node_limit) {
   if (num_vars < 0) throw BddError("negative variable count");
-  const std::size_t mask = unique_.size() - 1;
-  if (kSparseReset * nodes_.size() < unique_.size()) {
-    // Every node sits in exactly one slot on its probe path; searching for
-    // the index itself, not for an empty slot, stays exact while earlier
-    // slots on the path are being cleared.
-    for (std::uint32_t idx = 1; idx < nodes_.size(); ++idx) {
-      const Node& n = nodes_[idx];
-      std::size_t i = mix(word(n.var), word(n.lo), word(n.hi)) & mask;
-      while (unique_[i] != idx) i = (i + 1) & mask;
-      unique_[i] = 0;
-    }
-  } else {
-    std::fill(unique_.begin(), unique_.end(), 0);
-  }
+  std::fill(unique_.begin(), unique_.end(), 0);
   nodes_.resize(1);  // the FALSE terminal
   if (++generation_ == kGenerations) {
     std::fill(cache_.begin(), cache_.end(), CacheEntry{});
@@ -119,7 +132,7 @@ BddId BddManager::mk(int var, BddId lo, BddId hi) {
 }
 
 void BddManager::grow_tables() {
-  std::vector<std::uint32_t> slots(2 * unique_.size(), 0);
+  Table<std::uint32_t> slots(2 * unique_.size(), 0);
   const std::size_t mask = slots.size() - 1;
   for (std::uint32_t idx = 1; idx < nodes_.size(); ++idx) {
     const Node& n = nodes_[idx];
@@ -131,7 +144,7 @@ void BddManager::grow_tables() {
 
   const std::size_t want = std::min(unique_.size(), kMaxCacheEntries);
   if (cache_.size() >= want) return;
-  std::vector<CacheEntry> old(want);
+  Table<CacheEntry> old(want);
   old.swap(cache_);
   for (const CacheEntry& e : old) {
     if (e.tag >> kOpBits == generation_) {

@@ -56,9 +56,11 @@ class BddTimeout : public BddError {
 ///   apply cannot run on past its caller's budget.
 ///
 /// Reuse, after CUDD's long-lived manager: reset() starts a new problem in
-/// the tables the last one grew, at a cost proportional to what that
-/// problem created, never to the table size.  A reset manager creates the
-/// same nodes, in the same order, as a fresh one given the same calls.
+/// the tables the last one grew, so it neither allocates nor rehashes; it
+/// sweeps the unique table's 4-byte slots once.  A reset manager creates
+/// the same nodes, in the same order, as a fresh one given the same calls.
+/// Tables of 1 MiB or more are pages mapped for them alone, returned to the
+/// system as soon as they are freed.
 ///
 /// Threading model: *confinement*, not sharing.  A BddManager instance is
 /// owned by exactly one thread at a time.  verify::check_batch
@@ -74,11 +76,10 @@ class BddManager {
 
   /// Start a new problem, as if freshly constructed with these arguments,
   /// in the tables the last problem grew.  Every handle from before the
-  /// reset is invalid after it.  Costs what the last problem created: its
-  /// nodes' unique-table slots are cleared one by one, or the table in one
-  /// sweep when they filled a large part of it; the computed cache is
-  /// invalidated in O(1) by a new generation; rename maps, the support
-  /// epoch and the deadline are cleared.  Valid after any BddError.
+  /// reset is invalid after it.  The unique table is zeroed in one sweep;
+  /// the computed cache is invalidated in O(1) by a new generation; rename
+  /// maps, the support epoch and the deadline are cleared.  Valid after
+  /// any BddError.
   void reset(int num_vars, std::size_t node_limit = 50'000'000);
 
   int num_vars() const { return num_vars_; }
@@ -147,6 +148,25 @@ class BddManager {
     BddId f = 0, g = 0, h = 0, result = 0;
   };
   static_assert(sizeof(CacheEntry) == 20);
+  /// The node array, unique table and cache: vectors whose large buffers
+  /// are pages mapped for them alone (see allocate_table in bdd.cpp).
+  template <class T>
+  struct TableAllocator {
+    using value_type = T;
+    TableAllocator() = default;
+    template <class U>
+    TableAllocator(const TableAllocator<U>&) {}
+    T* allocate(std::size_t n) {
+      return static_cast<T*>(allocate_table(n * sizeof(T)));
+    }
+    void deallocate(T* p, std::size_t n) { free_table(p, n * sizeof(T)); }
+    bool operator==(const TableAllocator&) const { return true; }
+    bool operator!=(const TableAllocator&) const { return false; }
+  };
+  template <class T>
+  using Table = std::vector<T, TableAllocator<T>>;
+  static void* allocate_table(std::size_t bytes);
+  static void free_table(void* p, std::size_t bytes);
 
   int level(BddId f) const {
     return nodes_[static_cast<std::size_t>(f >> 1)].var;
@@ -171,9 +191,9 @@ class BddManager {
 
   int num_vars_;
   std::size_t node_limit_;
-  std::vector<Node> nodes_;
-  std::vector<std::uint32_t> unique_;  // node index per slot, 0 = empty
-  std::vector<CacheEntry> cache_;
+  Table<Node> nodes_;
+  Table<std::uint32_t> unique_;  // node index per slot, 0 = empty
+  Table<CacheEntry> cache_;
   std::uint32_t generation_ = 1;  // of the current problem's cache entries
   std::vector<std::vector<int>> rename_maps_;  // dense var -> var maps
   std::uint32_t epoch_ = 0;

@@ -544,8 +544,8 @@ void expect_matches_fresh(BddManager& m, unsigned seed, int nv, int ops) {
 
 TEST(BddReset, EachProblemMatchesAFreshManager) {
   // Problem sizes from a handful of nodes to tens of thousands, in an
-  // order that resets both after problems that left the grown tables
-  // sparse and after ones that filled them.
+  // order that runs small problems in tables a large one grew and large
+  // ones that grow them further.
   BddManager m(1);
   std::mt19937 rng(7);
   for (int problem = 0; problem < 24; ++problem) {
