@@ -13,7 +13,9 @@
 // kernel micro numbers (term construction, equality, free-vars) so one
 // artifact tracks both regressions and scaling, and writes everything as
 // machine-readable JSON (default BENCH_kernel.json; CI uploads it so the
-// perf trajectory is visible PR-over-PR).
+// perf trajectory is visible PR-over-PR).  A `term_store_bytes` section
+// counts the permanent bytes the micro section's terms add to the term
+// store, per interned node; counts repeat exactly on any host.
 //
 // No google-benchmark dependency: timing is steady_clock around explicit
 // batches, which is accurate at these (micro- to second-scale) durations
@@ -50,6 +52,49 @@ eda::kernel::Term big_term(int depth) {
   return t;
 }
 
+/// 64 distinct leaves folded into one equation chain four times over.
+eda::kernel::Term wide_term() {
+  namespace k = eda::kernel;
+  std::vector<k::Term> leaves;
+  for (int i = 0; i < 64; ++i) {
+    leaves.push_back(k::Term::var("x" + std::to_string(i), k::bool_ty()));
+  }
+  k::Term t = leaves[0];
+  for (int round = 0; round < 4; ++round) {
+    for (const k::Term& leaf : leaves) t = k::mk_eq(t, leaf);
+  }
+  return t;
+}
+
+struct StoreBytes {
+  std::size_t nodes = 0;
+  double arena_per_node = 0.0;
+  double free_vars_per_node = 0.0;
+};
+
+/// The permanent bytes the micro section's terms add to the term store:
+/// arena bytes (nodes and their names) and free-variable view bytes, once
+/// every new node's view is built, each per new interned node.  main runs
+/// it first, so the count does not depend on the scaling section.
+StoreBytes measure_term_store() {
+  namespace k = eda::kernel;
+  const k::detail::InternStats before = k::Term::intern_stats();
+  const std::vector<k::Term> family = {big_term(18), wide_term(),
+                                       k::Term::var("r", k::bool_ty())};
+  // A node's view is built from its children's, so the roots' views
+  // build every node's.
+  for (const k::Term& t : family) k::free_vars_set(t);
+  const k::detail::InternStats after = k::Term::intern_stats();
+  StoreBytes out;
+  out.nodes = after.live_nodes - before.live_nodes;
+  const double n = static_cast<double>(out.nodes);
+  out.arena_per_node =
+      static_cast<double>(after.arena_bytes - before.arena_bytes) / n;
+  out.free_vars_per_node =
+      static_cast<double>(after.free_var_bytes - before.free_var_bytes) / n;
+  return out;
+}
+
 double ns_per_op(int iters, const std::function<void()>& op) {
   // One warm-up call so interning/memo effects settle, then best-of-3
   // batches: the CI bench-regression gate compares these numbers against a
@@ -83,18 +128,7 @@ std::vector<MicroResult> run_micro() {
                    volatile bool eq = t1 == t2;
                    (void)eq;
                  })});
-  k::Term wide = [] {
-    std::vector<k::Term> leaves;
-    for (int i = 0; i < 64; ++i) {
-      leaves.push_back(
-          k::Term::var("x" + std::to_string(i), k::bool_ty()));
-    }
-    k::Term t = leaves[0];
-    for (int round = 0; round < 4; ++round) {
-      for (const k::Term& leaf : leaves) t = k::mk_eq(t, leaf);
-    }
-    return t;
-  }();
+  k::Term wide = wide_term();
   out.push_back(
       {"free_vars_wide", ns_per_op(100000, [&] { k::free_vars(wide); })});
   k::Term r = k::Term::var("r", k::bool_ty());
@@ -143,6 +177,12 @@ int main(int argc, char** argv) {
     if (arg == "--quick") quick = true;
   }
   if (quick) copies = 1;
+
+  const StoreBytes store = measure_term_store();
+  std::printf(
+      "bench_parallel: term store %zu nodes, %.2f arena + %.2f free-var "
+      "bytes per node\n",
+      store.nodes, store.arena_per_node, store.free_vars_per_node);
 
   // Prove the universal theorem and compile the circuits up front so the
   // timed region is purely the per-obligation work.
@@ -211,6 +251,11 @@ int main(int argc, char** argv) {
     std::fprintf(f, "    \"%s\": %.1f%s\n", micro[i].name.c_str(),
                  micro[i].ns, i + 1 < micro.size() ? "," : "");
   }
+  std::fprintf(f, "  },\n  \"term_store_bytes\": {\n");
+  std::fprintf(f, "    \"arena_bytes_per_node\": %.4f,\n",
+               store.arena_per_node);
+  std::fprintf(f, "    \"free_var_bytes_per_node\": %.4f\n",
+               store.free_vars_per_node);
   std::fprintf(f, "  },\n  \"scaling\": [\n");
   for (std::size_t i = 0; i < curve.size(); ++i) {
     std::fprintf(

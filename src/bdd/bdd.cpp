@@ -3,6 +3,7 @@
 #include <sys/mman.h>
 
 #include <algorithm>
+#include <atomic>
 #include <functional>
 #include <limits>
 #include <new>
@@ -46,7 +47,14 @@ std::size_t mix(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
 
 std::uint64_t word(BddId x) { return static_cast<std::uint64_t>(x); }
 
+// Relaxed: a statistic, not a synchronisation point.
+std::atomic<std::uint64_t> g_managers_constructed{0};
+
 }  // namespace
+
+std::uint64_t BddManager::managers_constructed() {
+  return g_managers_constructed.load(std::memory_order_relaxed);
+}
 
 BddManager::BddManager(int num_vars, std::size_t node_limit)
     : num_vars_(num_vars),
@@ -56,6 +64,7 @@ BddManager::BddManager(int num_vars, std::size_t node_limit)
   if (num_vars < 0) throw BddError("negative variable count");
   nodes_.reserve(kInitialSlots / 2);
   nodes_.push_back({kTermVar, 0, 0, 0});  // FALSE
+  g_managers_constructed.fetch_add(1, std::memory_order_relaxed);
 }
 
 void* BddManager::allocate_table(std::size_t bytes) {

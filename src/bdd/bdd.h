@@ -74,6 +74,11 @@ class BddManager {
  public:
   explicit BddManager(int num_vars, std::size_t node_limit = 50'000'000);
 
+  /// Managers constructed since program start, on every thread.  A
+  /// statistic in the idiom of `Thm::theorems_constructed`: check_batch
+  /// keeps one manager per thread, so a thread's later calls add none.
+  static std::uint64_t managers_constructed();
+
   /// Start a new problem, as if freshly constructed with these arguments,
   /// in the tables the last problem grew.  Every handle from before the
   /// reset is invalid after it.  The unique table is zeroed in one sweep;

@@ -79,9 +79,15 @@ class Arena {
 /// are retired but kept alive forever (the interner is process-permanent
 /// anyway), so a reader still probing an old array sees a consistent —
 /// merely stale — view and retries under the lock on miss.
+///
+/// The key is the node's own `shash` field, at that field's width: a node
+/// type that stores a 32-bit structural hash is compared and placed on
+/// those 32 bits.
 template <typename Node>
 class InternShard {
  public:
+  using Key = decltype(Node::shash);
+
   InternShard() {
     tables_.push_back(make_table(kInitialCapacity));
     // No concurrency can exist during construction; a relaxed store
@@ -94,7 +100,7 @@ class InternShard {
   }
 
   template <typename Eq, typename Make>
-  const Node* intern(std::size_t h, Eq&& eq, Make&& make) {
+  const Node* intern(Key h, Eq&& eq, Make&& make) {
     Slot* t = cur_.load(std::memory_order_acquire);
     if (const Node* n = probe(t, h, eq)) {
       count_hit();
@@ -159,7 +165,7 @@ class InternShard {
   }
 
   template <typename Eq>
-  const Node* probe(const Slot* t, std::size_t h, Eq&& eq) const {
+  const Node* probe(const Slot* t, Key h, Eq&& eq) const {
     std::size_t mask = table_mask(t);
     std::size_t i = h & mask;
     for (;;) {
@@ -218,13 +224,14 @@ template <typename Node, std::size_t kShardBits = 3>
 class InternTable {
  public:
   static constexpr std::size_t kShards = std::size_t{1} << kShardBits;
+  using Key = typename InternShard<Node>::Key;
 
   /// Return the canonical node with structural hash `h` matching `eq`,
   /// inserting the node produced by `make(arena)` (whose shash must equal
   /// `h`) when no match exists.  `make` runs at most once per structure,
   /// under the owning shard's lock, and allocates from that shard's arena.
   template <typename Eq, typename Make>
-  const Node* intern(std::size_t h, Eq&& eq, Make&& make) {
+  const Node* intern(Key h, Eq&& eq, Make&& make) {
     return shards_[shard_of(h)].intern(h, std::forward<Eq>(eq),
                                        std::forward<Make>(make));
   }
@@ -246,7 +253,7 @@ class InternTable {
   }
 
  private:
-  static std::size_t shard_of(std::size_t h) {
+  static std::size_t shard_of(Key h) {
     // Comb/Abs structural hashes are built from pointer values whose
     // entropy rarely reaches the top bits of the word (std::hash on
     // pointers is the identity), so finalize with a Fibonacci multiply
@@ -270,7 +277,11 @@ class InternTable {
 struct InternStats {
   std::size_t live_nodes = 0;   ///< distinct interned nodes
   std::size_t hits = 0;         ///< constructor calls answered from the table
-  std::size_t arena_bytes = 0;  ///< node storage (excluding string heaps)
+  /// Node storage, with the Var/Const name objects kept beside their
+  /// nodes (not those names' heap buffers).
+  std::size_t arena_bytes = 0;
+  /// Terms only: bytes of the published free-variable views.
+  std::size_t free_var_bytes = 0;
 };
 
 }  // namespace eda::kernel::detail

@@ -106,7 +106,7 @@ Term Signature::mk_const_at(const std::string& name,
 }
 
 Thm Signature::new_definition(const std::string& name, const Term& rhs) {
-  if (!free_vars(rhs).empty()) {
+  if (!free_vars_set(rhs).empty()) {
     throw KernelError("new_definition: right-hand side has free variables");
   }
   // Soundness side condition: every type variable of the body must appear

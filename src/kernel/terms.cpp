@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -23,6 +25,16 @@ std::size_t combine(std::size_t seed, std::size_t v) {
 std::size_t ptr_hash(const void* p) {
   return std::hash<const void*>{}(p);
 }
+
+/// The intern-table key: the low 32 bits of a structural hash, the width
+/// TermNode stores.  The slot index of any table under 2^32 slots is the
+/// same as the full hash's.
+std::uint32_t intern_key(std::size_t h) {
+  return static_cast<std::uint32_t>(h);
+}
+
+static_assert(sizeof(TermNode) <= 48,
+              "an interned term node is permanent: keep it at 48 bytes");
 
 /// The global term interner; intentionally leaked like the type interner so
 /// node pointers stay valid memoisation keys for the process lifetime.
@@ -57,38 +69,37 @@ std::size_t hash_with_env(const Term& t, std::vector<Term>& binders,
 
 }  // namespace
 
-Term Term::var(std::string name, Type ty) {
-  if (name.empty()) throw KernelError("Term::var: empty name");
-  std::size_t h = hash_name_ty(0xB1, name, ty);
-  const TermNode* n = interner().intern(
-      h,
+namespace {
+
+/// Var and Const share one path: the name is stored in the shard's arena
+/// just before its node, and the node points at it.
+const TermNode* intern_leaf(Term::Kind kind, std::size_t tag, std::string name,
+                            Type ty) {
+  std::size_t h = hash_name_ty(tag, name, ty);
+  std::uint32_t key = intern_key(h);
+  return interner().intern(
+      key,
       [&](const TermNode* c) {
-        return c->kind == Kind::Var && c->ty == ty && c->name == name;
+        return c->kind == kind && c->ty == ty && *c->name == name;
       },
       [&](detail::Arena& arena) {
         bool poly = ty.has_vars();
-        return arena.create<TermNode>(Kind::Var, std::move(name),
-                                      std::move(ty), nullptr, nullptr, h, h,
+        const std::string* stored = arena.create<std::string>(std::move(name));
+        return arena.create<TermNode>(kind, stored, std::move(ty), h, key,
                                       poly);
       });
-  return Term(n);
+}
+
+}  // namespace
+
+Term Term::var(std::string name, Type ty) {
+  if (name.empty()) throw KernelError("Term::var: empty name");
+  return Term(intern_leaf(Kind::Var, 0xB1, std::move(name), std::move(ty)));
 }
 
 Term Term::constant(std::string name, Type ty) {
   if (name.empty()) throw KernelError("Term::constant: empty name");
-  std::size_t h = hash_name_ty(0xC0, name, ty);
-  const TermNode* n = interner().intern(
-      h,
-      [&](const TermNode* c) {
-        return c->kind == Kind::Const && c->ty == ty && c->name == name;
-      },
-      [&](detail::Arena& arena) {
-        bool poly = ty.has_vars();
-        return arena.create<TermNode>(Kind::Const, std::move(name),
-                                      std::move(ty), nullptr, nullptr, h, h,
-                                      poly);
-      });
-  return Term(n);
+  return Term(intern_leaf(Kind::Const, 0xC0, std::move(name), std::move(ty)));
 }
 
 Term Term::comb(Term f, Term x) {
@@ -101,28 +112,28 @@ Term Term::comb(Term f, Term x) {
                       " : " + f.type().to_string() + " to " + x.to_string() +
                       " : " + x.type().to_string());
   }
-  std::size_t sh = combine(combine(0xAF7, ptr_hash(f.node_)),
-                           ptr_hash(x.node_));
+  std::uint32_t key = intern_key(
+      combine(combine(0xAF7, ptr_hash(f.node_)), ptr_hash(x.node_)));
   const TermNode* n = interner().intern(
-      sh,
+      key,
       [&](const TermNode* c) {
         return c->kind == Kind::Comb && c->a == f.node_ && c->b == x.node_;
       },
       [&](detail::Arena& arena) {
         std::size_t h = combine(combine(0xAF, f.hash()), x.hash());
-        return arena.create<TermNode>(Kind::Comb, std::string(),
-                                      cod_ty(f.type()), f.node_, x.node_, h,
-                                      sh, f.node_->poly || x.node_->poly);
+        return arena.create<TermNode>(Kind::Comb, cod_ty(f.type()), f.node_,
+                                      x.node_, h, key,
+                                      f.node_->poly || x.node_->poly);
       });
   return Term(n);
 }
 
 Term Term::abs(Term v, Term body) {
   if (!v.is_var()) throw KernelError("Term::abs: binder must be a variable");
-  std::size_t sh = combine(combine(0xAB5, ptr_hash(v.node_)),
-                           ptr_hash(body.node_));
+  std::uint32_t key = intern_key(
+      combine(combine(0xAB5, ptr_hash(v.node_)), ptr_hash(body.node_)));
   const TermNode* n = interner().intern(
-      sh,
+      key,
       [&](const TermNode* c) {
         return c->kind == Kind::Abs && c->a == v.node_ && c->b == body.node_;
       },
@@ -134,17 +145,22 @@ Term Term::abs(Term v, Term body) {
         std::map<const void*, std::size_t> memo;
         std::size_t hb = hash_with_env(body, binders, memo);
         std::size_t h = combine(combine(0xAB, v.type().hash()), hb);
-        return arena.create<TermNode>(Kind::Abs, std::string(),
-                                      fun_ty(v.type(), body.type()), v.node_,
-                                      body.node_, h, sh,
+        return arena.create<TermNode>(Kind::Abs, fun_ty(v.type(), body.type()),
+                                      v.node_, body.node_, h, key,
                                       v.node_->poly || body.node_->poly);
       });
   return Term(n);
 }
 
+namespace {
+/// Bytes of every published free-variable view; a statistic, so relaxed.
+std::atomic<std::size_t> g_free_var_bytes{0};
+}  // namespace
+
 detail::InternStats Term::intern_stats() {
   auto& in = interner();
-  return {in.size(), in.hits(), in.arena_bytes()};
+  return {in.size(), in.hits(), in.arena_bytes(),
+          g_free_var_bytes.load(std::memory_order_relaxed)};
 }
 
 namespace {
@@ -198,7 +214,7 @@ const std::string& Term::name() const {
   if (!is_var() && !is_const()) {
     throw KernelError("Term::name: not a variable or constant");
   }
-  return node_->name;
+  return *node_->name;
 }
 
 Term Term::rator() const {
@@ -293,6 +309,17 @@ int alpha_compare_env(const Term& a, const Term& b,
 }  // namespace
 
 int Term::compare(const Term& a, const Term& b) {
+  if (a.node_ == b.node_) return 0;
+  // Two leaves of one kind outside any binder (the free variables of a
+  // view, the keys of a substitution) order by name, then type, as the
+  // walk below would.
+  const Kind k = a.kind();
+  if (k == b.kind() && (k == Kind::Var || k == Kind::Const)) {
+    if (int c = a.node_->name->compare(*b.node_->name); c != 0) {
+      return c < 0 ? -1 : 1;
+    }
+    return Type::compare(a.type(), b.type());
+  }
   std::vector<std::array<Term, 2>> env;
   return alpha_compare_env(a, b, env, 0);
 }
@@ -300,9 +327,8 @@ int Term::compare(const Term& a, const Term& b) {
 std::string Term::to_string() const {
   switch (kind()) {
     case Kind::Var:
-      return node_->name;
     case Kind::Const:
-      return node_->name;
+      return *node_->name;
     case Kind::Comb: {
       Term f = Term::from(node_->a), x = Term::from(node_->b);
       std::string fs = f.to_string();
@@ -322,59 +348,132 @@ std::string Term::to_string() const {
 // --- Free variables --------------------------------------------------------
 
 // Free variables are a per-node attribute (fv(\v. b) = fv(b) \ {v} with
-// interned binder identity), so the set is computed bottom-up once per
+// interned binder identity), so the view is computed bottom-up once per
 // interned node and cached on the node forever.  Every layer above the
 // kernel — substitution pruning, the ABS side condition, the backward
 // synthesis engine — hits this cache.
 //
+// Views are flat arrays in Term::compare order (the order std::set<Term>
+// iterates in), so a union is one merge.  Most nodes add no free variable
+// to what one child already has; such a node publishes that child's view
+// instead of a copy, and closed nodes publish the one empty view.
+//
 // Concurrency: the cache slot is an atomic pointer published with a
-// release CAS.  Racing threads may compute the set redundantly; exactly
-// one publication wins and the losers' sets are deleted, so readers only
-// ever observe null or a fully-built, permanent set.
-const std::set<Term>& free_vars_set(const Term& t) {
+// release CAS.  Racing threads may compute the view redundantly; exactly
+// one publication wins and a loser frees only a view it allocated, so
+// readers only ever observe null or a fully-built, permanent view.
+
+namespace {
+
+bool term_less(const Term& a, const Term& b) {
+  return Term::compare(a, b) < 0;
+}
+
+std::size_t view_bytes(std::size_t n) {
+  return sizeof(FreeVars) + n * sizeof(Term);
+}
+
+}  // namespace
+
+FreeVars* FreeVars::make(std::size_t n) {
+  return new (::operator new(view_bytes(n))) FreeVars(n);
+}
+
+const FreeVars& FreeVars::none() {
+  static const FreeVars* empty = make(0);
+  return *empty;
+}
+
+bool FreeVars::contains(const Term& v) const {
+  const Term* it = std::lower_bound(begin(), end(), v, term_less);
+  return it != end() && Term::compare(*it, v) == 0;
+}
+
+const std::set<Term>& FreeVars::as_set() const {
+  const std::set<Term>* s = as_set_.load(std::memory_order_acquire);
+  if (s != nullptr) return *s;
+  auto* built = new std::set<Term>(begin(), end());
+  if (!as_set_.compare_exchange_strong(s, built, std::memory_order_release,
+                                       std::memory_order_acquire)) {
+    delete built;
+    return *s;
+  }
+  return *built;
+}
+
+const FreeVars& free_vars_set(const Term& t) {
   const TermNode* n = t.node_;
-  if (const auto* cached = n->fv.load(std::memory_order_acquire)) {
+  if (const FreeVars* cached = n->fv.load(std::memory_order_acquire)) {
     return *cached;
   }
-  auto* out = new std::set<Term>();
+  const FreeVars* out = &FreeVars::none();
+  FreeVars* fresh = nullptr;  // set when `out` is allocated here
   switch (n->kind) {
     case Term::Kind::Var:
-      out->insert(t);
+      fresh = FreeVars::make(1);
+      new (fresh->items()) Term(t);
+      out = fresh;
       break;
     case Term::Kind::Const:
       break;
     case Term::Kind::Comb: {
-      const std::set<Term>& fa = free_vars_set(Term::from(n->a));
-      const std::set<Term>& fb = free_vars_set(Term::from(n->b));
-      *out = fa;
-      out->insert(fb.begin(), fb.end());
+      const FreeVars& fa = free_vars_set(Term::from(n->a));
+      const FreeVars& fb = free_vars_set(Term::from(n->b));
+      std::vector<Term> merged;
+      merged.reserve(fa.size() + fb.size());
+      std::set_union(fa.begin(), fa.end(), fb.begin(), fb.end(),
+                     std::back_inserter(merged), term_less);
+      if (merged.size() == fa.size()) {
+        out = &fa;
+      } else if (merged.size() == fb.size()) {
+        out = &fb;
+      } else {
+        fresh = FreeVars::make(merged.size());
+        std::uninitialized_copy(merged.begin(), merged.end(),
+                                fresh->items());
+        out = fresh;
+      }
       break;
     }
     case Term::Kind::Abs: {
-      *out = free_vars_set(Term::from(n->b));
-      out->erase(Term::from(n->a));
+      const FreeVars& fb = free_vars_set(Term::from(n->b));
+      const Term v = Term::from(n->a);
+      if (!fb.contains(v)) {
+        out = &fb;
+      } else if (fb.size() > 1) {
+        fresh = FreeVars::make(fb.size() - 1);
+        Term* dst = fresh->items();
+        for (const Term& u : fb) {
+          if (!u.identical(v)) new (dst++) Term(u);
+        }
+        out = fresh;
+      }
       break;
     }
   }
-  const std::set<Term>* expected = nullptr;
+  const FreeVars* expected = nullptr;
   if (!n->fv.compare_exchange_strong(expected, out,
                                      std::memory_order_release,
                                      std::memory_order_acquire)) {
-    delete out;
+    ::operator delete(fresh);
     return *expected;
+  }
+  if (fresh != nullptr) {
+    g_free_var_bytes.fetch_add(view_bytes(fresh->size()),
+                               std::memory_order_relaxed);
   }
   return *out;
 }
 
 void collect_free_vars(const Term& t, std::set<Term>& out) {
-  const std::set<Term>& fv = free_vars_set(t);
+  const FreeVars& fv = free_vars_set(t);
   out.insert(fv.begin(), fv.end());
 }
 
-std::set<Term> free_vars(const Term& t) { return free_vars_set(t); }
+std::set<Term> free_vars(const Term& t) { return free_vars_set(t).as_set(); }
 
 bool is_free_in(const Term& v, const Term& t) {
-  return free_vars_set(t).count(v) > 0;
+  return free_vars_set(t).contains(v);
 }
 
 namespace {
@@ -426,10 +525,10 @@ namespace {
 /// O(|theta| log |fv|) test, which prunes substitution to the spine that
 /// actually mentions the substituted variables.
 bool subst_irrelevant(const TermSubst& theta, const Term& t) {
-  const std::set<Term>& fv = free_vars_set(t);
+  const FreeVars& fv = free_vars_set(t);
   for (const auto& [key, img] : theta) {
     (void)img;
-    if (fv.count(key) > 0) return false;
+    if (fv.contains(key)) return false;
   }
   return true;
 }
@@ -475,10 +574,10 @@ Term vsubst_memo(const TermSubst& theta, const Term& t,
       // Remove any binding of the bound variable itself and drop bindings
       // whose key is not free in the body (cheap via the cached fv sets;
       // also avoids spurious capture detection).
-      const std::set<Term>& body_fv = free_vars_set(t.body());
+      const FreeVars& body_fv = free_vars_set(t.body());
       TermSubst inner;
       for (const auto& [key, img] : theta) {
-        if (!key.identical(v) && body_fv.count(key) > 0) {
+        if (!key.identical(v) && body_fv.contains(key)) {
           inner.emplace(key, img);
         }
       }
@@ -499,7 +598,7 @@ Term vsubst_memo(const TermSubst& theta, const Term& t,
         return remember(Term::abs(v, b));
       }
       // Rename the binder away from everything in sight.
-      std::set<Term> avoid = body_fv;
+      std::set<Term> avoid(body_fv.begin(), body_fv.end());
       for (const auto& [key, img] : inner) {
         (void)key;
         collect_free_vars(img, avoid);
@@ -554,7 +653,7 @@ Term type_inst_memo(const TypeSubst& theta, const Term& t,
       Term v2 = Term::var(v.name(), type_subst(theta, v.type()));
       // Capture check: a free variable of the body, distinct from the
       // binder, may coincide with the instantiated binder.
-      const std::set<Term>& body_fv = free_vars_set(t.body());
+      const FreeVars& body_fv = free_vars_set(t.body());
       bool clash = false;
       for (const Term& u : body_fv) {
         if (u == v) continue;
@@ -568,7 +667,7 @@ Term type_inst_memo(const TypeSubst& theta, const Term& t,
         return remember(Term::abs(v2, type_inst_memo(theta, t.body(), memo)));
       }
       // Rename the binder (at its *original* type) first, then instantiate.
-      std::set<Term> avoid = body_fv;
+      std::set<Term> avoid(body_fv.begin(), body_fv.end());
       Term v_fresh = variant(avoid, v);
       TermSubst rename;
       rename.emplace(v, v_fresh);

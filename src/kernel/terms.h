@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -12,6 +13,7 @@
 namespace eda::kernel {
 
 class Term;
+class FreeVars;
 
 namespace detail {
 struct TermNode;
@@ -32,7 +34,7 @@ struct TermNode;
 /// set, type-variable flag) are computed once per node, ever.
 class Term {
  public:
-  enum class Kind { Var, Const, Comb, Abs };
+  enum class Kind : std::uint8_t { Var, Const, Comb, Abs };
 
   /// A variable `name : ty`.
   static Term var(std::string name, Type ty);
@@ -103,40 +105,89 @@ class Term {
   static Term from(const detail::TermNode* n) { return Term(n); }
   const detail::TermNode* node_;
 
-  friend const std::set<Term>& free_vars_set(const Term& t);
+  friend const FreeVars& free_vars_set(const Term& t);
   friend Term eq_const(const Type& ty);
+};
+
+/// The free variables of one interned node: its free Var terms, sorted in
+/// `Term::compare` order without duplicates, in one flat array.  A view is
+/// built once per node and is permanent, like the node.  Nodes share
+/// views: a node whose free variables are exactly a child's points at the
+/// child's view, and every closed node points at one empty view.
+class FreeVars {
+ public:
+  const Term* begin() const { return items(); }
+  const Term* end() const { return items() + size_; }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  /// Binary search in `Term::compare` order.
+  bool contains(const Term& v) const;
+  std::size_t count(const Term& v) const { return contains(v) ? 1 : 0; }
+  /// The same variables as a std::set, built on the first call and kept
+  /// with the view, so `free_vars` costs one set copy per call.
+  const std::set<Term>& as_set() const;
+
+ private:
+  explicit FreeVars(std::size_t n) : size_(n) {}
+  /// A view with room for `n` items in one allocation (items unset).
+  static FreeVars* make(std::size_t n);
+  /// The one view every closed node shares.
+  static const FreeVars& none();
+  // The items follow the header in the same allocation.
+  Term* items() { return reinterpret_cast<Term*>(this + 1); }
+  const Term* items() const { return reinterpret_cast<const Term*>(this + 1); }
+
+  std::size_t size_;
+  mutable std::atomic<const std::set<Term>*> as_set_{nullptr};
+
+  friend const FreeVars& free_vars_set(const Term& t);
 };
 
 namespace detail {
 
-/// The interned representation of a Term.  Construction happens only inside
-/// the four Term constructors, which guarantee one node per structure.
+/// The interned representation of a Term, 48 bytes.  Construction happens
+/// only inside the four Term constructors, which guarantee one node per
+/// structure.  The kind, the type-variable flag and a 32-bit structural
+/// hash share the first word; a Var or Const keeps its name beside the node
+/// in the same arena and points at it from the slot a Comb or Abs uses for
+/// its first child.
 struct TermNode {
-  TermNode(Term::Kind kind_, std::string name_, Type ty_, const TermNode* a_,
-           const TermNode* b_, std::size_t hash_, std::size_t shash_,
-           bool poly_)
-      : kind(kind_),
-        name(std::move(name_)),
+  /// Var / Const.
+  TermNode(Term::Kind kind_, const std::string* name_, Type ty_,
+           std::size_t hash_, std::uint32_t shash_, bool poly_)
+      : shash(shash_),
+        kind(kind_),
+        poly(poly_),
+        ty(std::move(ty_)),
+        name(name_),
+        b(nullptr),
+        hash(hash_) {}
+  /// Comb / Abs.
+  TermNode(Term::Kind kind_, Type ty_, const TermNode* a_, const TermNode* b_,
+           std::size_t hash_, std::uint32_t shash_, bool poly_)
+      : shash(shash_),
+        kind(kind_),
+        poly(poly_),
         ty(std::move(ty_)),
         a(a_),
         b(b_),
-        hash(hash_),
-        shash(shash_),
-        poly(poly_) {}
+        hash(hash_) {}
 
+  std::uint32_t shash;  ///< structural hash (the intern-table key)
   Term::Kind kind;
-  std::string name;  ///< Var / Const
-  Type ty;           ///< type of the whole term
-  const TermNode* a; ///< Comb: rator; Abs: binder
-  const TermNode* b; ///< Comb: rand;  Abs: body
-  std::size_t hash;  ///< alpha-invariant hash
-  std::size_t shash; ///< structural hash (the intern-table key)
-  bool poly;         ///< some type inside the term has type variables
-  /// Lazily built free-variable set, owned by the node (permanent, like the
-  /// node itself).  Published with a release CAS so concurrent readers
-  /// either see null (and compute) or a fully-built set; the losing
-  /// computation is discarded (free_vars_set in terms.cpp).
-  mutable std::atomic<const std::set<Term>*> fv{nullptr};
+  bool poly;  ///< some type inside the term has type variables
+  Type ty;    ///< type of the whole term
+  union {
+    const TermNode* a;        ///< Comb: rator; Abs: binder
+    const std::string* name;  ///< Var / Const
+  };
+  const TermNode* b;  ///< Comb: rand; Abs: body; null for Var / Const
+  std::size_t hash;   ///< alpha-invariant hash
+  /// Lazily built free-variable view (permanent, like the node itself).
+  /// Published with a release CAS so concurrent readers either see null
+  /// (and compute) or a fully-built view; a losing computation is
+  /// discarded (free_vars_set in terms.cpp).
+  mutable std::atomic<const FreeVars*> fv{nullptr};
 };
 
 }  // namespace detail
@@ -151,10 +202,10 @@ inline bool Term::has_type_vars() const { return node_->poly; }
 using TermSubst = std::map<Term, Term>;
 
 /// The free variables of `t`, cached on the interned node: the first call
-/// per node computes the set, every later call (for the process lifetime)
+/// per node computes the view, every later call (for the process lifetime)
 /// returns the same reference.  This is the workhorse behind
 /// `free_vars` / `is_free_in` / substitution pruning.
-const std::set<Term>& free_vars_set(const Term& t);
+const FreeVars& free_vars_set(const Term& t);
 
 /// Free variables of a term, added to `out`.
 void collect_free_vars(const Term& t, std::set<Term>& out);

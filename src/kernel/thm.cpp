@@ -14,6 +14,9 @@ namespace {
 // single-threaded runs, approximate otherwise; same policy as the intern
 // tables' hit counters).
 std::atomic<std::uint64_t> g_theorem_count{0};
+
+/// The innermost live Oracle::Log of this thread, if any.
+thread_local Oracle::Log* t_oracle_log = nullptr;
 }  // namespace
 
 std::uint64_t Thm::theorems_constructed() {
@@ -192,7 +195,12 @@ Thm Oracle::admit(const std::string& tag, const Term& concl) {
     throw KernelError("Oracle::admit: formula is not boolean");
   }
   if (tag.empty()) throw KernelError("Oracle::admit: empty tag");
+  if (t_oracle_log != nullptr) t_oracle_log->admitted_.push_back(concl);
   return Thm({}, concl, {tag});
 }
+
+Oracle::Log::Log() : outer_(t_oracle_log) { t_oracle_log = this; }
+
+Oracle::Log::~Log() { t_oracle_log = outer_; }
 
 }  // namespace eda::kernel

@@ -93,6 +93,24 @@ class Thm {
 class Oracle {
  public:
   static Thm admit(const std::string& tag, const Term& concl);
+
+  /// While a Log is alive, every formula its thread admits is appended to
+  /// it (a Log opened inside another takes over until it ends), so a test
+  /// or an audit can recheck each admission on its own.
+  class Log {
+   public:
+    Log();
+    ~Log();
+    Log(const Log&) = delete;
+    Log& operator=(const Log&) = delete;
+
+    const std::vector<Term>& admitted() const { return admitted_; }
+
+   private:
+    friend class Oracle;
+    std::vector<Term> admitted_;
+    Log* outer_;
+  };
 };
 
 }  // namespace eda::kernel

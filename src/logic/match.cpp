@@ -26,9 +26,10 @@ struct Matcher {
   }
 
   bool concrete_mentions_bound(const Term& t) const {
-    std::set<Term> fv = kernel::free_vars(t);
+    if (env.empty()) return false;
+    const kernel::FreeVars& fv = kernel::free_vars_set(t);
     for (const auto& [pv, cv] : env) {
-      if (fv.count(cv) > 0) return true;
+      if (fv.contains(cv)) return true;
     }
     return false;
   }

@@ -57,11 +57,15 @@ std::optional<std::uint64_t> dest_bits(const Term& t) {
         } else if (t.is_comb() && t.rator().is_const()) {
           const std::string& f = t.rator().name();
           if (f == "BIT0" || f == "BIT1") {
-            if (auto inner = dest_bits(t.rand())) {
-              out = *inner * 2 + (f == "BIT1" ? 1 : 0);
+            // A chain past 64 bits has no uint64_t value.
+            std::uint64_t bit = f == "BIT1" ? 1 : 0;
+            auto inner = dest_bits(t.rand());
+            if (inner && *inner <= (UINT64_MAX - bit) / 2) {
+              out = *inner * 2 + bit;
             }
           } else if (f == "SUC") {
-            if (auto inner = dest_bits(t.rand())) out = *inner + 1;
+            auto inner = dest_bits(t.rand());
+            if (inner && *inner < UINT64_MAX) out = *inner + 1;
           } else if (f == "NUMERAL") {
             out = dest_bits(t.rand());
           }
@@ -92,45 +96,87 @@ std::optional<std::uint64_t> dest_numeral(const Term& t) {
   return std::nullopt;
 }
 
-std::optional<std::uint64_t> eval_ground_num(const Term& t) {
-  if (auto n = dest_numeral(t)) return n;
-  if (t.is_const() && t.name() == "_0") return 0ULL;
+namespace {
+
+// Ground terms are evaluated exactly, in 128 bits with every step checked,
+// so a subterm whose value needs more than 64 bits (a product of two 62-bit
+// registers) still evaluates inside a parent that brings it back into
+// range (its MOD 2^w).  Only a value that fits a numeral is ever admitted.
+using Wide = unsigned __int128;
+using WideOpt = std::optional<Wide>;
+
+WideOpt checked_add(Wide a, Wide b) {
+  Wide r = 0;
+  if (__builtin_add_overflow(a, b, &r)) return std::nullopt;
+  return r;
+}
+
+WideOpt checked_mul(Wide a, Wide b) {
+  Wide r = 0;
+  if (__builtin_mul_overflow(a, b, &r)) return std::nullopt;
+  return r;
+}
+
+/// base^exp by squaring: O(log exp) steps, so `1 EXP 2^62` returns at once.
+WideOpt checked_pow(Wide base, Wide exp) {
+  if (exp == 0) return Wide{1};
+  if (base <= 1) return base;
+  Wide r = 1;
+  for (;;) {
+    if (exp & 1) {
+      WideOpt next = checked_mul(r, base);
+      if (!next) return std::nullopt;
+      r = *next;
+    }
+    exp >>= 1;
+    if (exp == 0) return r;
+    // Some remaining factor is at least base^2, so overflow here means the
+    // result overflows too.
+    WideOpt sq = checked_mul(base, base);
+    if (!sq) return std::nullopt;
+    base = *sq;
+  }
+}
+
+WideOpt eval_wide(const Term& t) {
+  if (auto n = dest_numeral(t)) return Wide{*n};
+  if (t.is_const() && t.name() == "_0") return Wide{0};
   if (!t.is_comb()) return std::nullopt;
   auto [head, args] = kernel::strip_comb(t);
   if (!head.is_const()) return std::nullopt;
   const std::string& op = head.name();
   if (op == "SUC" && args.size() == 1) {
-    auto a = eval_ground_num(args[0]);
+    WideOpt a = eval_wide(args[0]);
     if (!a) return std::nullopt;
-    return *a + 1;
+    return checked_add(*a, 1);
   }
   if ((op == "NUMERAL" || op == "BIT0" || op == "BIT1") && args.size() == 1) {
-    return dest_bits(t);
+    if (auto v = dest_bits(t)) return Wide{*v};
+    return std::nullopt;
   }
   if (args.size() == 2) {
-    auto a = eval_ground_num(args[0]);
-    auto b = eval_ground_num(args[1]);
+    WideOpt a = eval_wide(args[0]);
+    WideOpt b = eval_wide(args[1]);
     if (!a || !b) return std::nullopt;
-    if (op == "+") return *a + *b;
+    if (op == "+") return checked_add(*a, *b);
     if (op == "BITAND") return *a & *b;
     if (op == "BITOR") return *a | *b;
     if (op == "BITXOR") return *a ^ *b;
     if (op == "-") return *a >= *b ? *a - *b : 0;  // truncating subtraction
-    if (op == "*") return *a * *b;
-    if (op == "DIV") return *b == 0 ? std::optional<std::uint64_t>{}
-                                    : std::optional<std::uint64_t>{*a / *b};
-    if (op == "MOD") return *b == 0 ? std::optional<std::uint64_t>{}
-                                    : std::optional<std::uint64_t>{*a % *b};
-    if (op == "EXP") {
-      std::uint64_t r = 1;
-      for (std::uint64_t i = 0; i < *b; ++i) {
-        if (*a != 0 && r > UINT64_MAX / *a) return std::nullopt;  // overflow
-        r *= *a;
-      }
-      return r;
-    }
+    if (op == "*") return checked_mul(*a, *b);
+    if (op == "DIV") return *b == 0 ? WideOpt{} : WideOpt{*a / *b};
+    if (op == "MOD") return *b == 0 ? WideOpt{} : WideOpt{*a % *b};
+    if (op == "EXP") return checked_pow(*a, *b);
   }
   return std::nullopt;
+}
+
+}  // namespace
+
+std::optional<std::uint64_t> eval_ground_num(const Term& t) {
+  WideOpt v = eval_wide(t);
+  if (!v || *v > UINT64_MAX) return std::nullopt;
+  return static_cast<std::uint64_t>(*v);
 }
 
 std::optional<bool> eval_ground_bool(const Term& t) {
@@ -140,8 +186,8 @@ std::optional<bool> eval_ground_bool(const Term& t) {
   const std::string& op = head.name();
   if (op != "=" && op != "<" && op != "<=") return std::nullopt;
   if (op == "=" && args[0].type() != num_ty()) return std::nullopt;
-  auto a = eval_ground_num(args[0]);
-  auto b = eval_ground_num(args[1]);
+  WideOpt a = eval_wide(args[0]);
+  WideOpt b = eval_wide(args[1]);
   if (!a || !b) return std::nullopt;
   if (op == "=") return *a == *b;
   if (op == "<") return *a < *b;

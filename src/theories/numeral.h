@@ -32,7 +32,10 @@ std::optional<std::uint64_t> dest_numeral(const kernel::Term& t);
 kernel::Thm num_compute_conv(const kernel::Term& t);
 
 /// Evaluate a ground term to a number without producing a theorem (used by
-/// the evaluator and by tests to cross-check the oracle).
+/// the evaluator and by tests to cross-check the oracle).  Evaluation is
+/// exact: every step is checked in 128 bits and EXP goes by squaring, and
+/// a term whose value does not fit 64 bits (or whose steps overflow 128)
+/// has no value, so the oracle declines it rather than admit a wrapped one.
 std::optional<std::uint64_t> eval_ground_num(const kernel::Term& t);
 std::optional<bool> eval_ground_bool(const kernel::Term& t);
 

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
 #include "bench_gen/fig2.h"
 #include "bench_gen/iwls.h"
 #include "hash/compile.h"
@@ -76,6 +79,95 @@ TEST(GroundEval, PairAndCond) {
   Term cond = l::mk_cond(k::mk_eq(thy::mk_numeral(2), thy::mk_numeral(2)),
                          thy::mk_numeral(5), thy::mk_numeral(6));
   EXPECT_EQ(k::eq_rhs(h::ground_eval(cond).concl()), thy::mk_numeral(5));
+}
+
+namespace {
+
+using Wide = unsigned __int128;
+
+/// The exact value of a ground arithmetic term in 128 bits, computed apart
+/// from theories/numeral.cpp; nullopt for any other form and on overflow.
+std::optional<Wide> recompute(const Term& t) {
+  if (t.is_const() && t.name() == "_0") return Wide{0};
+  auto [head, args] = k::strip_comb(t);
+  if (!head.is_const()) return std::nullopt;
+  const std::string& op = head.name();
+  std::optional<Wide> a, b;
+  if (!args.empty() && !(a = recompute(args[0]))) return std::nullopt;
+  if (args.size() == 2 && !(b = recompute(args[1]))) return std::nullopt;
+  Wide r = 0;
+  if (args.size() == 1) {
+    if (op == "NUMERAL") return a;
+    if (op == "SUC" && !__builtin_add_overflow(*a, Wide{1}, &r)) return r;
+    if (op == "BIT0" && !__builtin_mul_overflow(*a, Wide{2}, &r)) return r;
+    if (op == "BIT1" && !__builtin_mul_overflow(*a, Wide{2}, &r) &&
+        !__builtin_add_overflow(r, Wide{1}, &r)) {
+      return r;
+    }
+    return std::nullopt;
+  }
+  if (args.size() != 2) return std::nullopt;
+  if (op == "+" && !__builtin_add_overflow(*a, *b, &r)) return r;
+  if (op == "*" && !__builtin_mul_overflow(*a, *b, &r)) return r;
+  if (op == "-") return *a >= *b ? *a - *b : 0;
+  if (op == "DIV" && *b != 0) return *a / *b;
+  if (op == "MOD" && *b != 0) return *a % *b;
+  if (op == "EXP" && *b < 128) {
+    r = 1;
+    for (Wide i = 0; i < *b; ++i) {
+      if (__builtin_mul_overflow(r, *a, &r)) return std::nullopt;
+    }
+    return r;
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
+TEST(GroundEval, WideMultiplierAdmitsOnlyTrueEquations) {
+  // A 62-bit circuit whose registers start at 2^61 and 8, with the cut
+  // moving their product into f: evaluating f(q) multiplies past 64 bits
+  // (2^64) before MOD 2^62 brings the value back to 0.  Every equation the
+  // oracle admits on the way must hold when recomputed in 128 bits; a
+  // wrapping evaluator admitted |- 2^61 * 8 = 0.
+  c::Rtl rtl;
+  const c::SignalId in = rtl.add_input("i", 62);
+  const c::SignalId a = rtl.add_reg("a", 62, std::uint64_t{1} << 61);
+  const c::SignalId b = rtl.add_reg("b", 62, 8);
+  const c::SignalId product = rtl.add_op(c::Op::Mul, {a, b});
+  rtl.set_reg_next(a, in);
+  rtl.set_reg_next(b, a);
+  rtl.add_output("y", rtl.add_op(c::Op::Add, {product, in}));
+  h::Cut cut;
+  cut.f_nodes = {product};
+
+  k::Oracle::Log log;
+  h::FormalRetimeResult res = h::formal_retime(rtl, cut);
+  ASSERT_FALSE(log.admitted().empty());
+  bool saw_product = false;
+  for (const Term& eq : log.admitted()) {
+    const Term lhs = k::eq_lhs(eq);
+    const Term rhs = k::eq_rhs(eq);
+    saw_product = saw_product || k::pretty(lhs).find('*') != std::string::npos;
+    if (rhs.type() == k::num_ty()) {
+      const std::optional<Wide> want = recompute(lhs);
+      const std::optional<Wide> got = recompute(rhs);
+      ASSERT_TRUE(want && got) << k::pretty(eq);
+      EXPECT_TRUE(*want == *got) << k::pretty(eq);
+      continue;
+    }
+    auto [pred, args] = k::strip_comb(lhs);
+    ASSERT_EQ(args.size(), 2u) << k::pretty(eq);
+    const std::optional<Wide> x = recompute(args[0]);
+    const std::optional<Wide> y = recompute(args[1]);
+    ASSERT_TRUE(x && y) << k::pretty(eq);
+    const std::string& op = pred.name();
+    const bool holds = op == "=" ? *x == *y : op == "<" ? *x < *y : *x <= *y;
+    EXPECT_EQ(rhs, holds ? l::truth_tm() : l::falsity_tm()) << k::pretty(eq);
+  }
+  // The product is evaluated inside its MOD parent, exactly.
+  EXPECT_TRUE(saw_product);
+  EXPECT_TRUE(c::simulation_equivalent(rtl, res.retimed, 200, 7));
 }
 
 TEST(FormalRetime, Fig2GoodCut) {

@@ -3,7 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <set>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "kernel/printer.h"
+#include "kernel/serialize.h"
 #include "kernel/signature.h"
 #include "kernel/terms.h"
 #include "kernel/thm.h"
@@ -238,11 +245,172 @@ TEST(Interning, EqualityOnIndependentlyBuiltTowersIsConstantTime) {
 
 TEST(Interning, FreeVarSetIsCachedPerNode) {
   Term t = Term::abs(bv("x"), k::mk_eq(bv("x"), bv("y")));
-  const std::set<Term>& fv1 = k::free_vars_set(t);
-  const std::set<Term>& fv2 = k::free_vars_set(t);
+  const k::FreeVars& fv1 = k::free_vars_set(t);
+  const k::FreeVars& fv2 = k::free_vars_set(t);
   EXPECT_EQ(&fv1, &fv2);  // same cached set, not a recomputation
   EXPECT_EQ(fv1.size(), 1u);
   EXPECT_TRUE(fv1.count(bv("y")) > 0);
+}
+
+// --- The slim term store ---------------------------------------------------
+
+// Every interned node is permanent, so its size is the store's growth rate.
+static_assert(sizeof(k::detail::TermNode) <= 48,
+              "an interned term node must stay at 48 bytes or less");
+
+namespace {
+
+/// The free variables by a plain recursive walk over the term tree, with
+/// an explicit binder stack (innermost last), for comparison with the
+/// cached views.
+void naive_free_vars(const Term& t, std::vector<Term>& bound,
+                     std::set<Term>& out) {
+  switch (t.kind()) {
+    case Term::Kind::Var:
+      for (const Term& v : bound) {
+        if (v.identical(t)) return;
+      }
+      out.insert(t);
+      return;
+    case Term::Kind::Const:
+      return;
+    case Term::Kind::Comb:
+      naive_free_vars(t.rator(), bound, out);
+      naive_free_vars(t.rand(), bound, out);
+      return;
+    case Term::Kind::Abs:
+      bound.push_back(t.bound_var());
+      naive_free_vars(t.body(), bound, out);
+      bound.pop_back();
+      return;
+  }
+}
+
+std::set<Term> naive_free_vars(const Term& t) {
+  std::vector<Term> bound;
+  std::set<Term> out;
+  naive_free_vars(t, bound, out);
+  return out;
+}
+
+/// The view of `t` equals the naive walk element by element, in
+/// Term::compare order, and the derived queries agree with it.
+void expect_view_matches_walk(const Term& t) {
+  const std::set<Term> want = naive_free_vars(t);
+  const k::FreeVars& got = k::free_vars_set(t);
+  ASSERT_EQ(got.size(), want.size()) << t.to_string();
+  auto it = want.begin();
+  for (const Term& v : got) {
+    EXPECT_TRUE(v.identical(*it)) << t.to_string();
+    ++it;
+  }
+  for (std::size_t i = 1; i < got.size(); ++i) {
+    EXPECT_LT(Term::compare(got.begin()[i - 1], got.begin()[i]), 0);
+  }
+  for (const Term& v : want) EXPECT_TRUE(k::is_free_in(v, t));
+  EXPECT_EQ(k::free_vars(t), want);
+}
+
+}  // namespace
+
+TEST(SlimStore, FreeVarViewsMatchANaiveWalk) {
+  eda::testlib::TermGen gen(0xf7ee5);
+  for (int i = 0; i < 300; ++i) {
+    Term g = gen.random_goal(2 + i % 6);
+    expect_view_matches_walk(g);
+    // Abstractions that shadow a variable free elsewhere in the term: the
+    // variable is bound under the binder and free in the argument.
+    for (const Term& v : naive_free_vars(g)) {
+      Term lam = Term::abs(v, g);
+      Term app = Term::comb(lam, v);
+      expect_view_matches_walk(lam);
+      expect_view_matches_walk(app);
+      expect_view_matches_walk(Term::abs(v, app));
+      EXPECT_FALSE(k::is_free_in(v, lam));
+      EXPECT_TRUE(k::is_free_in(v, app));
+    }
+  }
+  // A closed node and a node whose variables all come from one child share
+  // views rather than copy them.
+  Term x = bv("x"), y = bv("y");
+  EXPECT_TRUE(k::free_vars_set(Term::abs(x, x)).empty());
+  EXPECT_EQ(&k::free_vars_set(Term::abs(x, x)),
+            &k::free_vars_set(k::mk_eq(Term::abs(y, y), Term::abs(y, y))));
+  EXPECT_EQ(&k::free_vars_set(k::mk_eq(x, x)), &k::free_vars_set(x));
+}
+
+TEST(SlimStore, ConcurrentFirstCallsPublishOneViewPerNode) {
+  // Fresh nodes (names no other test uses) whose views nobody has built:
+  // four threads ask for them at once, in different orders, and must all
+  // get the same published view for each node.
+  std::vector<Term> nodes;
+  for (int i = 0; i < 64; ++i) {
+    std::vector<Term> leaves;
+    for (int j = 0; j < 6; ++j) {
+      leaves.push_back(bv("fv_race_" + std::to_string(i) + "_" +
+                          std::to_string(j)));
+    }
+    Term t = leaves[0];
+    for (std::size_t j = 1; j < leaves.size(); ++j) {
+      t = k::mk_eq(t, leaves[j]);
+      nodes.push_back(t);
+      nodes.push_back(Term::abs(leaves[j], t));
+    }
+  }
+  constexpr int kThreads = 4;
+  std::vector<std::vector<const k::FreeVars*>> seen(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int th = 0; th < kThreads; ++th) {
+    threads.emplace_back([&, th] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      std::vector<const k::FreeVars*>& mine = seen[th];
+      mine.assign(nodes.size(), nullptr);
+      for (std::size_t n = 0; n < nodes.size(); ++n) {
+        std::size_t i = th % 2 == 0 ? n : nodes.size() - 1 - n;
+        mine[i] = &k::free_vars_set(nodes[i]);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    for (int th = 1; th < kThreads; ++th) {
+      EXPECT_EQ(seen[th][i], seen[0][i]) << i;
+    }
+    EXPECT_EQ(seen[0][i], &k::free_vars_set(nodes[i]));
+    expect_view_matches_walk(nodes[i]);
+  }
+}
+
+TEST(SlimStore, LongNamesRoundTrip) {
+  // Names past the 15 characters std::string keeps inline, such as the
+  // service's `#`-plus-16-hex digest constants, live beside their node.
+  const std::string digest = "#0123456789abcdef";
+  const std::string long_var = "a_variable_name_well_past_sixteen_chars";
+  Term c = Term::constant(digest, k::num_ty());
+  Term v = Term::var(long_var, k::num_ty());
+  EXPECT_EQ(c.name(), digest);
+  EXPECT_EQ(v.name(), long_var);
+  EXPECT_TRUE(c.identical(Term::constant(digest, k::num_ty())));
+  EXPECT_FALSE(v.identical(Term::var(long_var + "x", k::num_ty())));
+  Term eq = k::mk_eq(c, v);
+  Term lam = Term::abs(v, eq);
+  EXPECT_EQ(k::pretty(eq), digest + " = " + long_var);
+  EXPECT_EQ(k::pretty(lam),
+            "\\" + long_var + ". " + digest + " = " + long_var);
+
+  k::Encoder enc;
+  enc.term(lam);
+  enc.term(c);
+  std::string bytes = enc.finish();
+  k::Decoder dec(bytes);
+  Term lam_back = dec.term();
+  Term c_back = dec.term();
+  EXPECT_TRUE(lam_back.identical(lam));
+  EXPECT_TRUE(c_back.identical(c));
+  EXPECT_EQ(c_back.name(), digest);
+  EXPECT_EQ(lam_back.bound_var().name(), long_var);
 }
 
 TEST(Interning, HasTypeVarsPrecomputed) {

@@ -105,7 +105,7 @@ TEST(ConcurrentIntern, ChurnStress) {
         Term body = k::mk_eq(k::mk_eq(x, own), x);
         Term lam = Term::abs(x, body);
         // Free vars of \x. (x = own) = x are {own}.
-        const std::set<Term>& fv = k::free_vars_set(lam);
+        const k::FreeVars& fv = k::free_vars_set(lam);
         if (fv.size() != 1 || fv.count(own) == 0) {
           failures.fetch_add(1);
         }

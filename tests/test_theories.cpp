@@ -110,6 +110,72 @@ TEST(Numeral, GroundEval) {
   EXPECT_FALSE(thy::eval_ground_num(nv("x")).has_value());
 }
 
+TEST(Numeral, OverflowingArithmeticDeclines) {
+  // Values past 64 bits have no numeral here: the evaluator declines them
+  // instead of wrapping, so the oracle never admits |- (2^64 - 1) + 1 = 0
+  // or |- 2^61 * 8 = 0.
+  Term max_plus_one = thy::mk_arith("+", thy::mk_numeral(UINT64_MAX),
+                                    thy::mk_numeral(1));
+  Term wide_product = thy::mk_arith("*", thy::mk_numeral(1ULL << 61),
+                                    thy::mk_numeral(8));
+  Term max_suc = thy::mk_suc(thy::mk_numeral(UINT64_MAX));
+  for (const Term& t : {max_plus_one, wide_product, max_suc}) {
+    EXPECT_FALSE(thy::eval_ground_num(t).has_value()) << t.to_string();
+    EXPECT_THROW(thy::num_compute_conv(t), l::ConvError) << t.to_string();
+  }
+  // A parent that brings the value back into range evaluates exactly.
+  Term mod = thy::mk_arith(
+      "MOD", wide_product,
+      thy::mk_arith("EXP", thy::mk_numeral(2), thy::mk_numeral(62)));
+  ASSERT_TRUE(thy::eval_ground_num(mod).has_value());
+  EXPECT_EQ(*thy::eval_ground_num(mod), 0u);
+  EXPECT_EQ(k::eq_rhs(thy::num_compute_conv(mod).concl()),
+            thy::mk_numeral(0));
+  // Predicates compare exact values: 2^61 * 8 is not 0.
+  Term pred = k::mk_eq(wide_product, thy::mk_numeral(0));
+  ASSERT_TRUE(thy::eval_ground_bool(pred).has_value());
+  EXPECT_FALSE(*thy::eval_ground_bool(pred));
+  EXPECT_EQ(k::eq_rhs(thy::num_compute_conv(pred).concl()),
+            l::falsity_tm());
+  // 2^64 - 1 is the largest value that still fits.
+  Term max = thy::mk_arith("+", thy::mk_numeral(UINT64_MAX - 1),
+                           thy::mk_numeral(1));
+  ASSERT_TRUE(thy::eval_ground_num(max).has_value());
+  EXPECT_EQ(*thy::eval_ground_num(max), UINT64_MAX);
+}
+
+TEST(Numeral, ExpBySquaring) {
+  // EXP takes O(log b) steps: these would loop 2^62 times one by one.
+  auto exp = [](std::uint64_t a, std::uint64_t b) {
+    return thy::eval_ground_num(
+        thy::mk_arith("EXP", thy::mk_numeral(a), thy::mk_numeral(b)));
+  };
+  const std::uint64_t huge = 1ULL << 62;
+  ASSERT_TRUE(exp(0, huge).has_value());
+  EXPECT_EQ(*exp(0, huge), 0u);
+  ASSERT_TRUE(exp(1, huge).has_value());
+  EXPECT_EQ(*exp(1, huge), 1u);
+  EXPECT_EQ(*exp(huge, 0), 1u);
+  EXPECT_EQ(*exp(2, 63), 1ULL << 63);
+  EXPECT_EQ(*exp(3, 40), 12157665459056928801ULL);
+  EXPECT_FALSE(exp(2, 64).has_value());
+  EXPECT_FALSE(exp(2, huge).has_value());
+}
+
+TEST(Numeral, ChainsPast64BitsHaveNoValue) {
+  // NUMERAL (BIT1 (BIT1 ... _0)) with 65 BIT1s is 2^65 - 1.
+  Type nn = k::fun_ty(k::num_ty(), k::num_ty());
+  Term bits = Term::constant("_0", k::num_ty());
+  for (int i = 0; i < 65; ++i) {
+    bits = Term::comb(Term::constant("BIT1", nn), bits);
+  }
+  Term numeral = Term::comb(Term::constant("NUMERAL", nn), bits);
+  Term mod = thy::mk_arith("MOD", numeral, thy::mk_numeral(2));
+  EXPECT_FALSE(thy::dest_numeral(numeral).has_value());
+  EXPECT_FALSE(thy::eval_ground_num(numeral).has_value());
+  EXPECT_FALSE(thy::eval_ground_num(mod).has_value());
+}
+
 TEST(Numeral, ComputeOracleTagged) {
   Term t = thy::mk_arith("*", thy::mk_numeral(6), thy::mk_numeral(7));
   Thm th = thy::num_compute_conv(t);

@@ -861,6 +861,29 @@ TEST(BatchManager, FourThreadsAtOnceMatchSerial) {
   }
 }
 
+TEST(BatchManager, TenCallsOnOneThreadConstructOneManager) {
+  // check_batch leases its thread's one manager and resets it between
+  // calls.  A fresh thread has none, so its first call constructs one and
+  // the next nine reuse it; a manager built per call would make ten.
+  const Pair p = spec_pair("fig2:3");
+  const std::vector<v::CheckJob> jobs{{&p.a, &p.b, v::Engine::Eijk, {}},
+                                      {&p.a, &p.b, v::Engine::Smv, {}}};
+  std::uint64_t constructed = 0;
+  int equivalent = 0;
+  std::thread worker([&] {
+    const std::uint64_t before = eda::bdd::BddManager::managers_constructed();
+    for (int call = 0; call < 10; ++call) {
+      for (const v::VerifyResult& r : v::check_batch(jobs)) {
+        if (r.completed && r.equivalent) ++equivalent;
+      }
+    }
+    constructed = eda::bdd::BddManager::managers_constructed() - before;
+  });
+  worker.join();
+  EXPECT_EQ(equivalent, 20);
+  EXPECT_EQ(constructed, 1u);
+}
+
 TEST(BatchManager, StarvedPoolReRunsMatchRunningAlone) {
   // Twelve distinct cones, each with a node budget that just fits it
   // alone.  The batch's pool is capped at 8x the largest budget, which
