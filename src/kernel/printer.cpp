@@ -1,5 +1,6 @@
 #include "kernel/printer.h"
 
+#include <climits>
 #include <map>
 #include <optional>
 
@@ -36,10 +37,12 @@ std::optional<unsigned long long> dest_numeral_bits(const Term& t) {
   if (t.is_const() && t.name() == "_0") return 0ULL;
   if (t.is_comb() && t.rator().is_const()) {
     const std::string& f = t.rator().name();
+    if (f != "BIT0" && f != "BIT1") return std::nullopt;
     auto inner = dest_numeral_bits(t.rand());
-    if (!inner) return std::nullopt;
-    if (f == "BIT0") return *inner * 2;
-    if (f == "BIT1") return *inner * 2 + 1;
+    // A chain past 64 bits has no value here; its structure is printed.
+    unsigned long long bit = f == "BIT1" ? 1 : 0;
+    if (!inner || *inner > (ULLONG_MAX - bit) / 2) return std::nullopt;
+    return *inner * 2 + bit;
   }
   return std::nullopt;
 }

@@ -310,16 +310,6 @@ int alpha_compare_env(const Term& a, const Term& b,
 
 int Term::compare(const Term& a, const Term& b) {
   if (a.node_ == b.node_) return 0;
-  // Two leaves of one kind outside any binder (the free variables of a
-  // view, the keys of a substitution) order by name, then type, as the
-  // walk below would.
-  const Kind k = a.kind();
-  if (k == b.kind() && (k == Kind::Var || k == Kind::Const)) {
-    if (int c = a.node_->name->compare(*b.node_->name); c != 0) {
-      return c < 0 ? -1 : 1;
-    }
-    return Type::compare(a.type(), b.type());
-  }
   std::vector<std::array<Term, 2>> env;
   return alpha_compare_env(a, b, env, 0);
 }
@@ -373,6 +363,12 @@ std::size_t view_bytes(std::size_t n) {
   return sizeof(FreeVars) + n * sizeof(Term);
 }
 
+/// A std::set<Term> of `n` items: the set object, then one red-black node
+/// per item (three links and a colour word before the item).
+std::size_t set_bytes(std::size_t n) {
+  return sizeof(std::set<Term>) + n * (4 * sizeof(void*) + sizeof(Term));
+}
+
 }  // namespace
 
 FreeVars* FreeVars::make(std::size_t n) {
@@ -398,6 +394,7 @@ const std::set<Term>& FreeVars::as_set() const {
     delete built;
     return *s;
   }
+  g_free_var_bytes.fetch_add(set_bytes(size_), std::memory_order_relaxed);
   return *built;
 }
 

@@ -113,7 +113,8 @@ class Term {
 /// `Term::compare` order without duplicates, in one flat array.  A view is
 /// built once per node and is permanent, like the node.  Nodes share
 /// views: a node whose free variables are exactly a child's points at the
-/// child's view, and every closed node points at one empty view.
+/// child's view, and every closed node points at one empty view.  Ask the
+/// view; `free_vars` (a std::set copy) is not for hot paths.
 class FreeVars {
  public:
   const Term* begin() const { return items(); }
@@ -124,7 +125,8 @@ class FreeVars {
   bool contains(const Term& v) const;
   std::size_t count(const Term& v) const { return contains(v) ? 1 : 0; }
   /// The same variables as a std::set, built on the first call and kept
-  /// with the view, so `free_vars` costs one set copy per call.
+  /// with the view for good, so `free_vars` costs one set copy per call.
+  /// The kept set counts in `InternStats::free_var_bytes`.
   const std::set<Term>& as_set() const;
 
  private:
@@ -209,6 +211,9 @@ const FreeVars& free_vars_set(const Term& t);
 
 /// Free variables of a term, added to `out`.
 void collect_free_vars(const Term& t, std::set<Term>& out);
+/// Free variables of a term as a std::set copy.  Not for hot paths: the
+/// first call per view keeps a std::set beside it for the process
+/// lifetime (FreeVars::as_set); ask the view instead.
 std::set<Term> free_vars(const Term& t);
 bool is_free_in(const Term& v, const Term& t);
 

@@ -383,6 +383,20 @@ TEST(SlimStore, ConcurrentFirstCallsPublishOneViewPerNode) {
   }
 }
 
+TEST(SlimStore, KeptFreeVarSetsCountInTheStore) {
+  // free_vars keeps a std::set beside the view it reads; the store's byte
+  // count must see it, once per view.
+  Term t = k::mk_eq(k::mk_eq(bv("fv_kept_a"), bv("fv_kept_b")),
+                    bv("fv_kept_c"));
+  ASSERT_EQ(k::free_vars_set(t).size(), 3u);
+  const std::size_t before = Term::intern_stats().free_var_bytes;
+  EXPECT_EQ(k::free_vars(t).size(), 3u);
+  const std::size_t after = Term::intern_stats().free_var_bytes;
+  EXPECT_GE(after - before, sizeof(std::set<Term>) + 3 * sizeof(Term));
+  EXPECT_EQ(k::free_vars(t).size(), 3u);
+  EXPECT_EQ(Term::intern_stats().free_var_bytes, after);
+}
+
 TEST(SlimStore, LongNamesRoundTrip) {
   // Names past the 15 characters std::string keeps inline, such as the
   // service's `#`-plus-16-hex digest constants, live beside their node.

@@ -176,6 +176,23 @@ TEST(Numeral, ChainsPast64BitsHaveNoValue) {
   EXPECT_FALSE(thy::eval_ground_num(mod).has_value());
 }
 
+TEST(Numeral, PrinterShowsChainsPast64BitsAsStructure) {
+  // 64 BIT1s print as 2^64 - 1; a 65th has no 64-bit value, so the printer
+  // shows the chain rather than a wrapped number.
+  Type nn = k::fun_ty(k::num_ty(), k::num_ty());
+  Term bits = Term::constant("_0", k::num_ty());
+  for (int i = 0; i < 64; ++i) {
+    bits = Term::comb(Term::constant("BIT1", nn), bits);
+  }
+  const Term numeral = Term::constant("NUMERAL", nn);
+  EXPECT_EQ(k::pretty(Term::comb(numeral, bits)), "18446744073709551615");
+  bits = Term::comb(Term::constant("BIT1", nn), bits);
+  const std::string past = k::pretty(Term::comb(numeral, bits));
+  EXPECT_EQ(past.find("18446744073709551615"), std::string::npos) << past;
+  EXPECT_NE(past.find("NUMERAL"), std::string::npos) << past;
+  EXPECT_NE(past.find("BIT1"), std::string::npos) << past;
+}
+
 TEST(Numeral, ComputeOracleTagged) {
   Term t = thy::mk_arith("*", thy::mk_numeral(6), thy::mk_numeral(7));
   Thm th = thy::num_compute_conv(t);
