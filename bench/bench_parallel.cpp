@@ -10,12 +10,13 @@
 // once.
 //
 // Alongside the scaling curve the benchmark re-measures the single-thread
-// kernel micro numbers (term construction, equality, free-vars) so one
-// artifact tracks both regressions and scaling, and writes everything as
-// machine-readable JSON (default BENCH_kernel.json; CI uploads it so the
-// perf trajectory is visible PR-over-PR).  A `term_store_bytes` section
-// counts the permanent bytes the micro section's terms add to the term
-// store, per interned node; counts repeat exactly on any host.
+// kernel micro numbers (term construction, equality, free-vars, REFL and a
+// conversion's decline) so one artifact tracks both regressions and
+// scaling, and writes everything as machine-readable JSON (default
+// BENCH_kernel.json; CI uploads it so the perf trajectory is visible from
+// change to change).  A `term_store_bytes` section counts the permanent
+// bytes the micro section's terms add to the term store, per interned
+// node; counts repeat exactly on any host.
 //
 // No google-benchmark dependency: timing is steady_clock around explicit
 // batches, which is accurate at these (micro- to second-scale) durations
@@ -33,6 +34,9 @@
 #include "kernel/parallel.h"
 #include "kernel/terms.h"
 #include "kernel/thm.h"
+#include "logic/conv.h"
+#include "logic/rewrite.h"
+#include "theories/pair_theory.h"
 #include "theories/retiming_thm.h"
 #include "verify/retime_match.h"
 
@@ -133,6 +137,15 @@ std::vector<MicroResult> run_micro() {
       {"free_vars_wide", ns_per_op(100000, [&] { k::free_vars(wide); })});
   k::Term r = k::Term::var("r", k::bool_ty());
   out.push_back({"refl", ns_per_op(1000000, [&] { k::Thm::refl(r); })});
+  // A conversion that does not apply declines by throwing ConvError, and
+  // the combinators catch it; these two price that path on `r = r`, which
+  // is no beta-redex and no FST (x, y).
+  namespace l = eda::logic;
+  const k::Term r_eq_r = k::mk_eq(r, r);
+  const l::Conv beta = l::tryc(l::beta_conv);
+  const l::Conv rewr = l::tryc(l::rewr_conv(eda::thy::fst_pair()));
+  out.push_back({"decline_beta", ns_per_op(100000, [&] { beta(r_eq_r); })});
+  out.push_back({"decline_rewr", ns_per_op(100000, [&] { rewr(r_eq_r); })});
   return out;
 }
 
