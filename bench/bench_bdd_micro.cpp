@@ -18,14 +18,9 @@
 // The run also exits 1 when fig2:8's product setup in a reset manager is
 // not faster than in a fresh one, both measured in this process: the
 // baseline gate's threshold is wider than that difference.
-//
-// Like bench_parallel, no google-benchmark: steady_clock around explicit
-// batches.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <functional>
 #include <iterator>
 #include <string>
 #include <utility>
@@ -35,6 +30,7 @@
 #include "bench_gen/fig2.h"
 #include "bench_gen/iwls.h"
 #include "circuit/bitblast.h"
+#include "harness.h"
 #include "hash/retime_step.h"
 #include "verify/parallel_verify.h"
 #include "verify/symbolic.h"
@@ -44,46 +40,16 @@ namespace {
 namespace b = eda::bdd;
 namespace c = eda::circuit;
 namespace v = eda::verify;
-using Clock = std::chrono::steady_clock;
+using eda::bench::Clock;
+using eda::bench::Metrics;
+using eda::bench::ns_per_op;
 using eda::verify::Engine;
 
-constexpr int kBest = 5;
 // Timed engine passes, each about 10 ms: with 5, a run in 10 read a total
 // twice its engines' best sums, a host stall having landed in every pass.
 constexpr int kEnginePasses = 20;
 constexpr Engine kEngines[] = {Engine::Eijk, Engine::EijkPlus, Engine::Smv};
 constexpr std::size_t kNumEngines = std::size(kEngines);
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-/// ns per op of each of `ops`: one warm-up call each, then the best of
-/// kBest timed batches.  The ops' batches take turns, so a drift in the
-/// machine's speed reaches each of them alike.
-std::vector<double> ns_per_op_each(
-    int iters, const std::vector<std::function<void()>>& ops) {
-  for (const std::function<void()>& op : ops) op();
-  std::vector<double> best(ops.size(), 0.0);
-  for (int rep = 0; rep < kBest; ++rep) {
-    for (std::size_t k = 0; k < ops.size(); ++k) {
-      const Clock::time_point t0 = Clock::now();
-      for (int i = 0; i < iters; ++i) ops[k]();
-      const double ns = seconds_since(t0) * 1e9 / iters;
-      if (rep == 0 || ns < best[k]) best[k] = ns;
-    }
-  }
-  return best;
-}
-
-double ns_per_op(int iters, const std::function<void()>& op) {
-  return ns_per_op_each(iters, {op}).front();
-}
-
-struct Metric {
-  std::string name;
-  double value;
-};
 
 /// An (original, retimed) gate-level pair through the HASH step.
 struct Pair {
@@ -119,8 +85,8 @@ std::vector<Pair> engine_pairs() {
   return pairs;
 }
 
-std::vector<Metric> run_micro() {
-  std::vector<Metric> out;
+Metrics run_micro() {
+  Metrics out;
   // (variables, iterations): each batch takes tens of milliseconds.
   for (auto [nv, iters] : {std::pair{16, 8'000}, {64, 200}, {256, 6}}) {
     const double ns = ns_per_op(iters, [nv = nv] {
@@ -164,7 +130,8 @@ std::vector<Metric> run_micro() {
     reused.reset(layout.total());
     v::build_product(reused, layout, p.a, p.b);
   };
-  const std::vector<double> setup = ns_per_op_each(300, {fresh, reset});
+  const std::vector<double> setup =
+      eda::bench::ns_per_op_each(300, {fresh, reset});
   out.push_back({"product_setup_fresh_fig2_8", setup[0]});
   out.push_back({"product_setup_reset_fig2_8", setup[1]});
   return out;
@@ -174,19 +141,13 @@ std::vector<Metric> run_micro() {
 
 int main(int argc, char** argv) {
   std::string out_path = "BENCH_bdd.json";
-  for (int a = 1; a < argc; ++a) {
-    const std::string arg = argv[a];
-    if (arg == "--out" && a + 1 < argc) {
-      out_path = argv[++a];
-    } else {
-      std::fprintf(stderr, "usage: bench_bdd_micro [--out FILE]\n");
-      return 2;
-    }
-  }
+  eda::bench::Args("bench_bdd_micro")
+      .text("--out", "FILE", out_path)
+      .parse(argc, argv);
 
-  const std::vector<Metric> micro = run_micro();
-  for (const Metric& m : micro) {
-    std::printf("  micro %-28s %12.1f ns/op\n", m.name.c_str(), m.value);
+  const Metrics micro = run_micro();
+  for (const auto& [name, ns] : micro) {
+    std::printf("  micro %-28s %12.1f ns/op\n", name.c_str(), ns);
   }
 
   const std::vector<Pair> pairs = engine_pairs();
@@ -210,7 +171,7 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       const Clock::time_point t0 = Clock::now();
       v::run_check(jobs[i]);
-      const double cell = seconds_since(t0) * 1e3;
+      const double cell = eda::bench::seconds_since(t0) * 1e3;
       ms[i % kNumEngines] += cell;
       ms.back() += cell;
     }
@@ -218,43 +179,25 @@ int main(int argc, char** argv) {
       best[k] = pass == 0 ? ms[k] : std::min(best[k], ms[k]);
     }
   }
-  std::vector<Metric> engine_ms;
+  Metrics engine_ms;
   for (std::size_t k = 0; k < kNumEngines; ++k) {
     engine_ms.push_back({v::engine_name(kEngines[k]), best[k]});
   }
   engine_ms.push_back({"total", best.back()});
   std::printf("  engine pass over %zu cells:", jobs.size());
-  for (const Metric& m : engine_ms) {
-    std::printf(" %s %.3f ms", m.name.c_str(), m.value);
+  for (const auto& [name, ms] : engine_ms) {
+    std::printf(" %s %.3f ms", name.c_str(), ms);
   }
   std::printf("\n");
 
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_bdd_micro: cannot write %s\n",
-                 out_path.c_str());
-    return 1;
-  }
-  auto section = [f](const char* name, const std::vector<Metric>& metrics,
-                      bool last) {
-    std::fprintf(f, "  \"%s\": {\n", name);
-    for (std::size_t i = 0; i < metrics.size(); ++i) {
-      std::fprintf(f, "    \"%s\": %.4g%s\n", metrics[i].name.c_str(),
-                   metrics[i].value, i + 1 < metrics.size() ? "," : "");
-    }
-    std::fprintf(f, "  }%s\n", last ? "" : ",");
-  };
-  std::fprintf(f, "{\n  \"benchmark\": \"bench_bdd_micro\",\n");
-  section("micro_ns_per_op", micro, false);
-  section("engine_ms", engine_ms, true);
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path.c_str());
+  eda::bench::Json json("bench_bdd_micro");
+  json.section("micro_ns_per_op", micro).section("engine_ms", engine_ms);
+  if (!json.write(out_path)) return 1;
 
   double fresh = 0.0, reset = 0.0;
-  for (const Metric& m : micro) {
-    if (m.name == "product_setup_fresh_fig2_8") fresh = m.value;
-    if (m.name == "product_setup_reset_fig2_8") reset = m.value;
+  for (const auto& [name, ns] : micro) {
+    if (name == "product_setup_fresh_fig2_8") fresh = ns;
+    if (name == "product_setup_reset_fig2_8") reset = ns;
   }
   if (reset >= fresh) {
     std::fprintf(stderr,

@@ -1,4 +1,4 @@
-// Parallel-scaling benchmark for the concurrent kernel (PR 3).
+// Parallel-scaling benchmark for the concurrent kernel.
 //
 // Workload: a batch of independent proof obligations — formal retiming of
 // the figure-2 circuit at several bitwidths followed by structural
@@ -9,27 +9,26 @@
 // the concurrent memo tables and the per-node caches from all threads at
 // once.
 //
-// Alongside the scaling curve the benchmark re-measures the single-thread
-// kernel micro numbers (term construction, equality, free-vars, REFL and a
-// conversion's decline) so one artifact tracks both regressions and
-// scaling, and writes everything as machine-readable JSON (default
-// BENCH_kernel.json; CI uploads it so the perf trajectory is visible from
-// change to change).  A `term_store_bytes` section counts the permanent
-// bytes the micro section's terms add to the term store, per interned
-// node; counts repeat exactly on any host.
-//
-// No google-benchmark dependency: timing is steady_clock around explicit
-// batches, which is accurate at these (micro- to second-scale) durations
-// and keeps the tool buildable everywhere the examples build.
+// Alongside the scaling curve the benchmark measures the single-thread
+// kernel micro numbers, so one artifact tracks both regressions and
+// scaling: the paper's cost model for formal synthesis (section III) is
+// that primitive rule applications are cheap pointer operations, TRANS
+// constant-time on shared structure, so the section times term and type
+// construction, equality, free variables, substitution, the REFL, TRANS,
+// MK_COMB and BETA rules, and a rewrite that fires and conversions that
+// decline.  Everything goes to machine-readable JSON (default
+// BENCH_kernel.json; CI gates it and uploads it).  A `term_store_bytes`
+// section counts the permanent bytes the micro section's terms add to the
+// term store, per interned node; counts repeat exactly on any host.
 
-#include <chrono>
 #include <cstdio>
-#include <functional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "bench_gen/fig2.h"
+#include "harness.h"
 #include "hash/retime_step.h"
 #include "kernel/parallel.h"
 #include "kernel/terms.h"
@@ -42,11 +41,9 @@
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
+using eda::bench::Clock;
+using eda::bench::ns_per_op;
+using eda::bench::seconds_since;
 
 // --- Micro section (single-thread ns/op, regression tracking) -------------
 
@@ -70,17 +67,12 @@ eda::kernel::Term wide_term() {
   return t;
 }
 
-struct StoreBytes {
-  std::size_t nodes = 0;
-  double arena_per_node = 0.0;
-  double free_vars_per_node = 0.0;
-};
-
-/// The permanent bytes the micro section's terms add to the term store:
-/// arena bytes (nodes and their names) and free-variable view bytes, once
-/// every new node's view is built, each per new interned node.  main runs
-/// it first, so the count does not depend on the scaling section.
-StoreBytes measure_term_store() {
+/// The permanent bytes that the micro section's depth-18 tower, wide term
+/// and `r` add to the term store: arena bytes (nodes and their names) and
+/// free-variable view bytes, once every new node's view is built, each per
+/// new interned node.  main runs it first, so the count does not depend on
+/// the other sections.
+eda::bench::Metrics measure_term_store() {
   namespace k = eda::kernel;
   const k::detail::InternStats before = k::Term::intern_stats();
   const std::vector<k::Term> family = {big_term(18), wide_term(),
@@ -89,63 +81,77 @@ StoreBytes measure_term_store() {
   // build every node's.
   for (const k::Term& t : family) k::free_vars_set(t);
   const k::detail::InternStats after = k::Term::intern_stats();
-  StoreBytes out;
-  out.nodes = after.live_nodes - before.live_nodes;
-  const double n = static_cast<double>(out.nodes);
-  out.arena_per_node =
-      static_cast<double>(after.arena_bytes - before.arena_bytes) / n;
-  out.free_vars_per_node =
-      static_cast<double>(after.free_var_bytes - before.free_var_bytes) / n;
-  return out;
+  const std::size_t nodes = after.live_nodes - before.live_nodes;
+  const double n = static_cast<double>(nodes);
+  const double arena = (after.arena_bytes - before.arena_bytes) / n;
+  const double fv = (after.free_var_bytes - before.free_var_bytes) / n;
+  std::printf(
+      "bench_parallel: term store %zu nodes, %.2f arena + %.2f free-var "
+      "bytes per node\n",
+      nodes, arena, fv);
+  return {{"arena_bytes_per_node", arena}, {"free_var_bytes_per_node", fv}};
 }
 
-double ns_per_op(int iters, const std::function<void()>& op) {
-  // One warm-up call so interning/memo effects settle, then best-of-3
-  // batches: the CI bench-regression gate compares these numbers against a
-  // committed baseline, and the minimum is far more stable across noisy
-  // shared runners than a single batch (same methodology as the ROADMAP's
-  // interleaved A/B minima).
-  op();
-  double best = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {
-    auto t0 = Clock::now();
-    for (int i = 0; i < iters; ++i) op();
-    double ns = seconds_since(t0) * 1e9 / iters;
-    if (rep == 0 || ns < best) best = ns;
-  }
-  return best;
-}
-
-struct MicroResult {
-  std::string name;
-  double ns;
-};
-
-std::vector<MicroResult> run_micro() {
+eda::bench::Metrics run_micro() {
   namespace k = eda::kernel;
-  std::vector<MicroResult> out;
+  namespace l = eda::logic;
+  using k::Term;
+  using k::Thm;
+  eda::bench::Metrics out;
   out.push_back({"term_construction_depth16",
                  ns_per_op(20000, [] { big_term(16); })});
-  k::Term t1 = big_term(18);
-  k::Term t2 = big_term(18);
+  const k::Type b = k::bool_ty();
+  out.push_back({"type_construction_depth32", ns_per_op(10000, [&] {
+                   k::Type ty = b;
+                   for (int i = 0; i < 32; ++i) ty = k::fun_ty(ty, b);
+                 })});
+  const Term t1 = big_term(18);
+  const Term t2 = big_term(18);
   out.push_back({"equality_depth18", ns_per_op(1000000, [&] {
                    volatile bool eq = t1 == t2;
                    (void)eq;
                  })});
-  k::Term wide = wide_term();
+  // collect_free_vars is the set path substitution and bool_thms take.
+  const Term wide = wide_term();
+  out.push_back({"free_vars_wide", ns_per_op(10000, [&] {
+                   std::set<Term> fv;
+                   k::collect_free_vars(wide, fv);
+                 })});
+  const Term x = Term::var("x", k::bool_ty());
+  const Term big = big_term(256);
+  const k::TermSubst x_to_y = {{x, Term::var("y", k::bool_ty())}};
+  out.push_back({"vsubst_depth256",
+                 ns_per_op(300, [&] { k::vsubst(x_to_y, big); })});
+  const Term r = Term::var("r", k::bool_ty());
+  out.push_back({"refl", ns_per_op(300000, [&] { Thm::refl(r); })});
+  // TRANS on a = p and p = a costs the same at any depth of a.
+  for (int depth : {1, 1024}) {
+    const Term a = big_term(depth);
+    const Term p = Term::var("p", a.type());
+    const Thm ap = Thm::assume(k::mk_eq(a, p));
+    const Thm pa = Thm::assume(k::mk_eq(p, a));
+    out.push_back({"trans_shared_depth" + std::to_string(depth),
+                   ns_per_op(100000, [&] { Thm::trans(ap, pa); })});
+  }
+  const Thm f_refl =
+      Thm::refl(Term::var("f", k::fun_ty(k::bool_ty(), k::bool_ty())));
+  const Thm x_refl = Thm::refl(x);
   out.push_back(
-      {"free_vars_wide", ns_per_op(100000, [&] { k::free_vars(wide); })});
-  k::Term r = k::Term::var("r", k::bool_ty());
-  out.push_back({"refl", ns_per_op(1000000, [&] { k::Thm::refl(r); })});
-  // A conversion that does not apply declines by throwing ConvError, and
-  // the combinators catch it; these two price that path on `r = r`, which
-  // is no beta-redex and no FST (x, y).
-  namespace l = eda::logic;
-  const k::Term r_eq_r = k::mk_eq(r, r);
+      {"mk_comb", ns_per_op(100000, [&] { Thm::mk_comb(f_refl, x_refl); })});
+  const Term redex =
+      Term::comb(Term::abs(x, k::mk_eq(x, big_term(128))), x);
+  out.push_back({"beta_depth128", ns_per_op(1000, [&] { Thm::beta(redex); })});
+  // A rewrite that fires, FST (r, r) to r; then the same conversion and
+  // beta_conv declining on `r = r`, which is no FST (x, y) and no
+  // beta-redex: a decline throws ConvError, and tryc catches it.
+  const l::Conv fst = l::rewr_conv(eda::thy::fst_pair());
+  const Term fst_rr = eda::thy::mk_fst(eda::thy::mk_pair(r, r));
+  out.push_back({"rewr_conv_fires", ns_per_op(20000, [&] { fst(fst_rr); })});
+  const Term r_eq_r = k::mk_eq(r, r);
   const l::Conv beta = l::tryc(l::beta_conv);
-  const l::Conv rewr = l::tryc(l::rewr_conv(eda::thy::fst_pair()));
-  out.push_back({"decline_beta", ns_per_op(100000, [&] { beta(r_eq_r); })});
-  out.push_back({"decline_rewr", ns_per_op(100000, [&] { rewr(r_eq_r); })});
+  const l::Conv rewr = l::tryc(fst);
+  out.push_back({"decline_beta", ns_per_op(10000, [&] { beta(r_eq_r); })});
+  out.push_back({"decline_rewr", ns_per_op(10000, [&] { rewr(r_eq_r); })});
   return out;
 }
 
@@ -170,12 +176,6 @@ void run_obligation(const Obligation& ob) {
   }
 }
 
-struct ScalePoint {
-  unsigned threads = 1;
-  double seconds = 0.0;
-  double speedup = 1.0;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -183,19 +183,14 @@ int main(int argc, char** argv) {
   int copies = 3;  // obligations per width; total = copies * |widths|
   std::vector<unsigned> thread_counts{1, 2, 4, 8};
   bool quick = false;
-  for (int a = 1; a < argc; ++a) {
-    std::string arg = argv[a];
-    if (arg == "--out" && a + 1 < argc) out_path = argv[++a];
-    if (arg == "--copies" && a + 1 < argc) copies = std::stoi(argv[++a]);
-    if (arg == "--quick") quick = true;
-  }
+  eda::bench::Args("bench_parallel")
+      .text("--out", "FILE", out_path)
+      .number("--copies", "N", copies, 1, 1000)
+      .flag("--quick", quick)
+      .parse(argc, argv);
   if (quick) copies = 1;
 
-  const StoreBytes store = measure_term_store();
-  std::printf(
-      "bench_parallel: term store %zu nodes, %.2f arena + %.2f free-var "
-      "bytes per node\n",
-      store.nodes, store.arena_per_node, store.free_vars_per_node);
+  const eda::bench::Metrics store = measure_term_store();
 
   // Prove the universal theorem and compile the circuits up front so the
   // timed region is purely the per-obligation work.
@@ -216,7 +211,7 @@ int main(int argc, char** argv) {
 
   std::printf("bench_parallel: %zu obligations (fig2 widths x%d)\n",
               obligations.size(), copies);
-  std::vector<ScalePoint> curve;
+  std::vector<eda::bench::Metrics> curve;
   double t1_sec = 0.0;
   for (unsigned threads : thread_counts) {
     auto t0 = Clock::now();
@@ -234,51 +229,26 @@ int main(int argc, char** argv) {
           obligations.size(),
           [&](std::size_t i) { run_obligation(obligations[i]); }, pool);
     }
-    ScalePoint p;
-    p.threads = threads;
-    p.seconds = seconds_since(t0);
-    if (threads == 1) t1_sec = p.seconds;
-    p.speedup = t1_sec > 0 ? t1_sec / p.seconds : 1.0;
-    curve.push_back(p);
-    std::printf("  threads=%u  %.3f s  speedup %.2fx\n", threads, p.seconds,
-                p.speedup);
+    const double sec = seconds_since(t0);
+    if (threads == 1) t1_sec = sec;
+    const double speedup = t1_sec > 0 ? t1_sec / sec : 1.0;
+    curve.push_back(
+        {{"threads", threads}, {"seconds", sec}, {"speedup", speedup}});
+    std::printf("  threads=%u  %.3f s  speedup %.2fx\n", threads, sec,
+                speedup);
   }
 
-  std::vector<MicroResult> micro = run_micro();
-  for (const MicroResult& m : micro) {
-    std::printf("  micro %-28s %10.1f ns/op\n", m.name.c_str(), m.ns);
+  const eda::bench::Metrics micro = run_micro();
+  for (const auto& [name, ns] : micro) {
+    std::printf("  micro %-28s %10.1f ns/op\n", name.c_str(), ns);
   }
 
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_parallel: cannot write %s\n",
-                 out_path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"benchmark\": \"bench_parallel\",\n");
-  std::fprintf(f, "  \"obligations\": %zu,\n", obligations.size());
-  std::fprintf(f, "  \"hardware_threads\": %u,\n",
-               eda::kernel::default_thread_count());
-  std::fprintf(f, "  \"micro_ns_per_op\": {\n");
-  for (std::size_t i = 0; i < micro.size(); ++i) {
-    std::fprintf(f, "    \"%s\": %.1f%s\n", micro[i].name.c_str(),
-                 micro[i].ns, i + 1 < micro.size() ? "," : "");
-  }
-  std::fprintf(f, "  },\n  \"term_store_bytes\": {\n");
-  std::fprintf(f, "    \"arena_bytes_per_node\": %.4f,\n",
-               store.arena_per_node);
-  std::fprintf(f, "    \"free_var_bytes_per_node\": %.4f\n",
-               store.free_vars_per_node);
-  std::fprintf(f, "  },\n  \"scaling\": [\n");
-  for (std::size_t i = 0; i < curve.size(); ++i) {
-    std::fprintf(
-        f,
-        "    {\"threads\": %u, \"seconds\": %.4f, \"speedup\": %.3f}%s\n",
-        curve[i].threads, curve[i].seconds, curve[i].speedup,
-        i + 1 < curve.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path.c_str());
-  return 0;
+  eda::bench::Json json("bench_parallel");
+  json.field("obligations", obligations.size())
+      .field("hardware_threads", eda::kernel::default_thread_count())
+      .section("micro_ns_per_op", micro)
+      .section("term_store_bytes", store)
+      .array("scaling");
+  for (const eda::bench::Metrics& point : curve) json.section("", point);
+  return json.write(out_path) ? 0 : 1;
 }

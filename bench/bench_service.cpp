@@ -24,20 +24,14 @@
 // bench/baselines/BENCH_service.baseline.json; --check asserts batched >=
 // serial, and warm at least kWarmSpeedup times faster than batched, for
 // the acceptance gate).
-//
-// Like bench_parallel, no google-benchmark dependency: steady_clock around
-// explicit batches is accurate at these durations.
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "harness.h"
 #include "io/blif.h"
 #include "kernel/parallel.h"
 #include "service/cache_server.h"
@@ -48,7 +42,9 @@
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
+using eda::bench::Clock;
+using eda::bench::seconds_since;
+using eda::bench::write_file;
 
 /// --check's bar for the warm start: its throughput at least this many
 /// times the cold batched run's.  The warm run replays the saved cache in
@@ -57,10 +53,6 @@ using Clock = std::chrono::steady_clock;
 /// over 37 runs on a 4-vCPU container, and the bar sits at half the
 /// lowest.
 constexpr double kWarmSpeedup = 8.0;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 /// Nearest-rank percentile of per-job latencies (p in [0, 100]).
 double percentile(std::vector<double> v, double p) {
@@ -81,13 +73,6 @@ std::vector<double> latencies(
   return out;
 }
 
-bool write_file(const std::string& path, const std::string& text) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << text;
-  return static_cast<bool>(out);
-}
-
 /// (jobs, share) service options — the old flat positional init, regrouped.
 eda::service::ServiceOptions service_opts(unsigned jobs, bool share) {
   eda::service::ServiceOptions opts;
@@ -102,45 +87,12 @@ int main(int argc, char** argv) {
   std::string out_path = "BENCH_service.json";
   bool quick = false, check = false;
   unsigned jobs = 0;
-  for (int a = 1; a < argc; ++a) {
-    std::string arg = argv[a];
-    auto next = [&]() -> const char* {
-      if (a + 1 >= argc) {
-        std::fprintf(stderr, "bench_service: missing value after %s\n",
-                     arg.c_str());
-        std::exit(2);
-      }
-      return argv[++a];
-    };
-    if (arg == "--out") {
-      out_path = next();
-    } else if (arg == "--quick") {
-      quick = true;
-    } else if (arg == "--check") {
-      check = true;
-    } else if (arg == "--jobs") {
-      std::string v = next();
-      int n = 0;
-      std::size_t used = 0;
-      try {
-        n = std::stoi(v, &used);
-      } catch (const std::logic_error&) {
-        used = 0;  // falls through to the range error below
-      }
-      if (used != v.size() || n < 1 || n > 1024) {
-        std::fprintf(stderr,
-                     "bench_service: --jobs must be an integer in "
-                     "1..1024\n");
-        return 2;
-      }
-      jobs = static_cast<unsigned>(n);
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_service [--quick] [--check] [--jobs N] "
-                   "[--out FILE]\n");
-      return 2;
-    }
-  }
+  eda::bench::Args("bench_service")
+      .flag("--quick", quick)
+      .flag("--check", check)
+      .number("--jobs", "N", jobs, 1u, 1024u)
+      .text("--out", "FILE", out_path)
+      .parse(argc, argv);
 
   eda::service::SweepGrid grid;
   grid.widths = quick ? std::vector<int>{4, 6} : std::vector<int>{4, 6, 8};
@@ -378,6 +330,8 @@ int main(int argc, char** argv) {
   double serial_tp = serial_sec > 0 ? n / serial_sec : 0.0;
   double batched_tp = batched_sec > 0 ? n / batched_sec : 0.0;
   double warm_tp = warm_sec > 0 ? n / warm_sec : 0.0;
+  const double throughput_ratio = serial_tp > 0 ? batched_tp / serial_tp : 0;
+  const double warm_vs_cold_ratio = warm_sec > 0 ? batched_sec / warm_sec : 0;
   std::printf("  serial   %.3f s  (%.2f jobs/s)\n", serial_sec, serial_tp);
   std::printf(
       "  batched  %.3f s  (%.2f jobs/s, %u stream(s), theorem hit rate "
@@ -390,8 +344,7 @@ int main(int argc, char** argv) {
       warm_sec, warm_tp, warm_stats.theorems.hit_rate(),
       warm_stats.results.hit_rate());
   std::printf("  throughput ratio %.2fx batched, %.2fx warm\n",
-              serial_tp > 0 ? batched_tp / serial_tp : 0.0,
-              serial_tp > 0 ? warm_tp / serial_tp : 0.0);
+              throughput_ratio, serial_tp > 0 ? warm_tp / serial_tp : 0.0);
   std::printf(
       "  latency p50/p95: serial %.4f/%.4f s, batched %.4f/%.4f s, warm "
       "%.4f/%.4f s\n",
@@ -407,83 +360,54 @@ int main(int argc, char** argv) {
               kRemoteCones, static_cast<unsigned long long>(remote_cold_rts),
               static_cast<unsigned long long>(remote_warm_rts));
 
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_service: cannot write %s\n",
-                 out_path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"benchmark\": \"bench_service\",\n");
-  std::fprintf(f, "  \"jobs\": %zu,\n", specs.size());
-  std::fprintf(f, "  \"copies\": %d,\n", grid.copies);
-  std::fprintf(f, "  \"threads\": %u,\n", threads);
-  std::fprintf(f, "  \"hardware_threads\": %u,\n",
-               eda::kernel::default_thread_count());
-  std::fprintf(f, "  \"serial_seconds\": %.4f,\n", serial_sec);
-  std::fprintf(f, "  \"batched_seconds\": %.4f,\n", batched_sec);
-  std::fprintf(f, "  \"serial_jobs_per_sec\": %.3f,\n", serial_tp);
-  std::fprintf(f, "  \"batched_jobs_per_sec\": %.3f,\n", batched_tp);
-  std::fprintf(f, "  \"throughput_ratio\": %.3f,\n",
-               serial_tp > 0 ? batched_tp / serial_tp : 0.0);
-  std::fprintf(f, "  \"theorem_hit_rate\": %.3f,\n",
-               batched_stats.theorems.hit_rate());
-  std::fprintf(f, "  \"result_hit_rate\": %.3f,\n",
-               batched_stats.results.hit_rate());
-  std::fprintf(f, "  \"warm_seconds\": %.4f,\n", warm_sec);
-  std::fprintf(f, "  \"warm_jobs_per_sec\": %.3f,\n", warm_tp);
-  std::fprintf(f, "  \"warm_vs_cold_ratio\": %.3f,\n",
-               warm_sec > 0 ? batched_sec / warm_sec : 0.0);
-  std::fprintf(f, "  \"warm_theorem_hit_rate\": %.3f,\n",
-               warm_stats.theorems.hit_rate());
-  std::fprintf(f, "  \"warm_theorem_misses\": %llu,\n",
-               static_cast<unsigned long long>(warm_stats.theorems.misses));
-  std::fprintf(f, "  \"warm_result_hit_rate\": %.3f,\n",
-               warm_stats.results.hit_rate());
-  std::fprintf(f, "  \"serial_p50_sec\": %.5f,\n",
-               percentile(serial_lat, 50));
-  std::fprintf(f, "  \"serial_p95_sec\": %.5f,\n",
-               percentile(serial_lat, 95));
-  std::fprintf(f, "  \"batched_p50_sec\": %.5f,\n",
-               percentile(batched_lat, 50));
-  std::fprintf(f, "  \"batched_p95_sec\": %.5f,\n",
-               percentile(batched_lat, 95));
-  std::fprintf(f, "  \"warm_p50_sec\": %.5f,\n", percentile(warm_lat, 50));
-  std::fprintf(f, "  \"warm_p95_sec\": %.5f,\n", percentile(warm_lat, 95));
-  std::fprintf(f, "  \"edit_cones\": %zu,\n", edit_cones);
-  std::fprintf(f, "  \"edit_reproved_cones\": %zu,\n", edit_reproved);
-  std::fprintf(f, "  \"edit_unchanged_hit_rate\": %.3f,\n",
-               edit_unchanged_hit_rate);
-  std::fprintf(f, "  \"edit_cold_seconds\": %.4f,\n", edit_cold_sec);
-  std::fprintf(f, "  \"edit_replay_seconds\": %.4f,\n", edit_replay_sec);
-  std::fprintf(f, "  \"edit_speedup\": %.3f,\n", edit_speedup);
-  std::fprintf(f, "  \"remote_cold_round_trips\": %llu,\n",
-               static_cast<unsigned long long>(remote_cold_rts));
-  std::fprintf(f, "  \"remote_warm_round_trips\": %llu,\n",
-               static_cast<unsigned long long>(remote_warm_rts));
-  // Ratio metrics for the bench_compare.py regression gate
-  // (--section service_metrics --higher-is-better): machine-speed
-  // independent, so one committed baseline holds across runners.
-  std::fprintf(f, "  \"service_metrics\": {\n");
-  std::fprintf(f, "    \"throughput_ratio\": %.3f,\n",
-               serial_tp > 0 ? batched_tp / serial_tp : 0.0);
-  std::fprintf(f, "    \"warm_vs_cold_ratio\": %.3f,\n",
-               warm_sec > 0 ? batched_sec / warm_sec : 0.0);
-  std::fprintf(f, "    \"edit_speedup\": %.3f\n", edit_speedup);
-  std::fprintf(f, "  },\n");
-  // Absolute wall times for the lower-is-better gate (--section
-  // service_seconds).  A ratio alone moves the wrong way when its
-  // denominator regresses, and reads as a regression when its
-  // denominator improves: a faster cold run lowers warm_vs_cold_ratio.
-  std::fprintf(f, "  \"service_seconds\": {\n");
-  std::fprintf(f, "    \"serial\": %.4f,\n", serial_sec);
-  std::fprintf(f, "    \"batched\": %.4f,\n", batched_sec);
-  std::fprintf(f, "    \"warm\": %.4f,\n", warm_sec);
-  std::fprintf(f, "    \"edit_cold\": %.4f,\n", edit_cold_sec);
-  std::fprintf(f, "    \"edit_replay\": %.4f\n", edit_replay_sec);
-  std::fprintf(f, "  }\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path.c_str());
+  eda::bench::Json json("bench_service");
+  json.field("jobs", specs.size())
+      .field("copies", grid.copies)
+      .field("threads", threads)
+      .field("hardware_threads", eda::kernel::default_thread_count())
+      .field("serial_seconds", serial_sec)
+      .field("batched_seconds", batched_sec)
+      .field("serial_jobs_per_sec", serial_tp)
+      .field("batched_jobs_per_sec", batched_tp)
+      .field("throughput_ratio", throughput_ratio)
+      .field("theorem_hit_rate", batched_stats.theorems.hit_rate())
+      .field("result_hit_rate", batched_stats.results.hit_rate())
+      .field("warm_seconds", warm_sec)
+      .field("warm_jobs_per_sec", warm_tp)
+      .field("warm_vs_cold_ratio", warm_vs_cold_ratio)
+      .field("warm_theorem_hit_rate", warm_stats.theorems.hit_rate())
+      .field("warm_theorem_misses", warm_stats.theorems.misses)
+      .field("warm_result_hit_rate", warm_stats.results.hit_rate())
+      .field("serial_p50_sec", percentile(serial_lat, 50))
+      .field("serial_p95_sec", percentile(serial_lat, 95))
+      .field("batched_p50_sec", percentile(batched_lat, 50))
+      .field("batched_p95_sec", percentile(batched_lat, 95))
+      .field("warm_p50_sec", percentile(warm_lat, 50))
+      .field("warm_p95_sec", percentile(warm_lat, 95))
+      .field("edit_cones", edit_cones)
+      .field("edit_reproved_cones", edit_reproved)
+      .field("edit_unchanged_hit_rate", edit_unchanged_hit_rate)
+      .field("edit_cold_seconds", edit_cold_sec)
+      .field("edit_replay_seconds", edit_replay_sec)
+      .field("edit_speedup", edit_speedup)
+      .field("remote_cold_round_trips", remote_cold_rts)
+      .field("remote_warm_round_trips", remote_warm_rts)
+      // Ratio metrics for the bench_compare.py regression gate
+      // (--section service_metrics --higher-is-better): machine-speed
+      // independent, so one committed baseline holds across runners.
+      .section("service_metrics", {{"throughput_ratio", throughput_ratio},
+                                   {"warm_vs_cold_ratio", warm_vs_cold_ratio},
+                                   {"edit_speedup", edit_speedup}})
+      // Absolute wall times for the lower-is-better gate (--section
+      // service_seconds).  A ratio alone moves the wrong way when its
+      // denominator regresses, and reads as a regression when its
+      // denominator improves: a faster cold run lowers warm_vs_cold_ratio.
+      .section("service_seconds", {{"serial", serial_sec},
+                                   {"batched", batched_sec},
+                                   {"warm", warm_sec},
+                                   {"edit_cold", edit_cold_sec},
+                                   {"edit_replay", edit_replay_sec}});
+  if (!json.write(out_path)) return 1;
 
   if (check && batched_tp < serial_tp) {
     std::fprintf(stderr,

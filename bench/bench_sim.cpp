@@ -20,17 +20,13 @@
 // asserts the acceptance bar: service throughput with the pre-filter at
 // least 5x the --no-sim run on the >=50%-nonequivalent corpus, and every
 // sim-refuted job carrying a concrete counterexample.
-//
-// Like bench_service, no google-benchmark dependency.
 
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "harness.h"
 #include "io/blif.h"
 #include "service/verify_service.h"
 #include "sim/bitsim.h"
@@ -38,18 +34,9 @@
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-bool write_file(const std::string& path, const std::string& text) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << text;
-  return static_cast<bool>(out);
-}
+using eda::bench::Clock;
+using eda::bench::seconds_since;
+using eda::bench::write_file;
 
 struct CorpusPair {
   std::string a_path, b_path;
@@ -62,24 +49,11 @@ struct CorpusPair {
 int main(int argc, char** argv) {
   std::string out_path = "BENCH_sim.json";
   bool quick = false, check = false;
-  for (int a = 1; a < argc; ++a) {
-    std::string arg = argv[a];
-    if (arg == "--out") {
-      if (a + 1 >= argc) {
-        std::fprintf(stderr, "bench_sim: missing value after --out\n");
-        return 2;
-      }
-      out_path = argv[++a];
-    } else if (arg == "--quick") {
-      quick = true;
-    } else if (arg == "--check") {
-      check = true;
-    } else {
-      std::fprintf(stderr, "usage: bench_sim [--quick] [--check] "
-                           "[--out FILE]\n");
-      return 2;
-    }
-  }
+  eda::bench::Args("bench_sim")
+      .flag("--quick", quick)
+      .flag("--check", check)
+      .text("--out", "FILE", out_path)
+      .parse(argc, argv);
 
   const std::uint64_t seed = eda::testlib::stimulus_seed();
   using eda::testlib::ConeEdit;
@@ -250,36 +224,22 @@ int main(int argc, char** argv) {
       "%.3f s without -> %.1fx\n",
       sim_sec, sim_refuted_jobs, nosim_sec, prefilter_speedup);
 
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_sim: cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"benchmark\": \"bench_sim\",\n");
-  std::fprintf(f, "  \"seed\": %llu,\n",
-               static_cast<unsigned long long>(seed));
-  std::fprintf(f, "  \"raw_vectors_per_sec\": %.0f,\n", raw_vec_per_sec);
-  std::fprintf(f, "  \"corpus_pairs\": %d,\n", kPairs);
-  std::fprintf(f, "  \"corpus_nonequiv\": %d,\n", nonequiv_pairs);
-  std::fprintf(f, "  \"refutations_per_sec\": %.1f,\n",
-               refutations_per_sec);
-  std::fprintf(f, "  \"refute_vectors\": %llu,\n",
-               static_cast<unsigned long long>(refute_vectors));
-  std::fprintf(f, "  \"sim_refuted_jobs\": %zu,\n", sim_refuted_jobs);
-  // The service leg's seconds, for the absolute gate (--section
-  // sim_seconds).
-  std::fprintf(f, "  \"sim_seconds\": {\n");
-  std::fprintf(f, "    \"sim\": %.4f,\n", sim_sec);
-  std::fprintf(f, "    \"nosim\": %.4f\n", nosim_sec);
-  std::fprintf(f, "  },\n");
-  // Ratios for the bench_compare.py gate (--section sim_metrics
-  // --higher-is-better).
-  std::fprintf(f, "  \"sim_metrics\": {\n");
-  std::fprintf(f, "    \"prefilter_speedup\": %.3f,\n", prefilter_speedup);
-  std::fprintf(f, "    \"prefilter_hit_rate\": %.3f\n", prefilter_hit_rate);
-  std::fprintf(f, "  }\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path.c_str());
+  eda::bench::Json json("bench_sim");
+  json.field("seed", seed)
+      .field("raw_vectors_per_sec", raw_vec_per_sec)
+      .field("corpus_pairs", kPairs)
+      .field("corpus_nonequiv", nonequiv_pairs)
+      .field("refutations_per_sec", refutations_per_sec)
+      .field("refute_vectors", refute_vectors)
+      .field("sim_refuted_jobs", sim_refuted_jobs)
+      // The service leg's seconds, for the absolute gate (--section
+      // sim_seconds).
+      .section("sim_seconds", {{"sim", sim_sec}, {"nosim", nosim_sec}})
+      // Ratios for the bench_compare.py gate (--section sim_metrics
+      // --higher-is-better).
+      .section("sim_metrics", {{"prefilter_speedup", prefilter_speedup},
+                               {"prefilter_hit_rate", prefilter_hit_rate}});
+  if (!json.write(out_path)) return 1;
 
   if (check) {
     if (!sim_ok || !nosim_ok) {

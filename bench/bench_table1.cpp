@@ -21,7 +21,6 @@
 // engine reports NONEQUIV: every row pairs a circuit with a correct
 // retiming of it.
 
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -45,8 +44,10 @@ namespace bg = eda::bench_gen;
 namespace c = eda::circuit;
 namespace h = eda::hash;
 namespace v = eda::verify;
+using eda::bench::Clock;
 using eda::bench::measure;
 using eda::bench::Row;
+using eda::bench::seconds_since;
 
 // Section IV.A: backward retiming is "more complex since one has to find
 // the q's corresponding to some expression representing f(q)".  Each row
@@ -139,9 +140,9 @@ std::vector<Row> match_rows() {
     Row row("retime_match", std::to_string(n));
     auto fig2 = bg::make_fig2(n);
     c::Rtl retimed = h::conventional_retime(fig2.rtl, fig2.good_cut);
-    auto t0 = std::chrono::steady_clock::now();
+    const Clock::time_point t0 = Clock::now();
     bool accepts = v::verify_retiming(fig2.rtl, retimed).equivalent;
-    row.seconds.push_back({"match", eda::bench::seconds_since(t0)});
+    row.seconds.push_back({"match", seconds_since(t0)});
 
     c::Rtl padded = fig2.rtl;
     c::SignalId y = padded.outputs().front().signal;
@@ -172,15 +173,13 @@ int main(int argc, char** argv) {
   // opts into the fan-out when throughput matters more than fidelity.
   unsigned jobs = 1;
   std::string json_path;
-  for (int a = 1; a < argc; ++a) {
-    std::string arg = argv[a];
-    if (arg == "--timeout" && a + 1 < argc) timeout = std::stod(argv[++a]);
-    if (arg == "--max-n" && a + 1 < argc) max_n = std::stoi(argv[++a]);
-    if (arg == "--json" && a + 1 < argc) json_path = argv[++a];
-    if (arg == "--jobs" && a + 1 < argc) {
-      jobs = static_cast<unsigned>(std::stoi(argv[++a]));
-    }
-  }
+  // RT-level widths stop at 62 bits.
+  eda::bench::Args("bench_table1")
+      .number("--timeout", "SEC", timeout, 0.001, 86400.0)
+      .number("--max-n", "N", max_n, 1, 62)
+      .text("--json", "FILE", json_path)
+      .number("--jobs", "N", jobs, 1u, 1024u)
+      .parse(argc, argv);
   // parallel_map's caller participates, so a pool of jobs-1 workers gives
   // exactly `jobs` concurrent streams (same accounting as bench_parallel).
   if (jobs > 1) eda::kernel::set_global_thread_count(jobs - 1);
@@ -188,9 +187,9 @@ int main(int argc, char** argv) {
   // Prove the universal theorem once up front (the paper's "once and for
   // all"); its cost is excluded from the per-circuit HASH column exactly
   // as the paper excludes it.
-  auto t0 = std::chrono::steady_clock::now();
+  const Clock::time_point t0 = Clock::now();
   eda::thy::retiming_thm();
-  double thm_sec = eda::bench::seconds_since(t0);
+  double thm_sec = seconds_since(t0);
   std::printf("universal retiming theorem proved once in %.3f s\n", thm_sec);
 
   // Each row is an independent proof obligation; `--jobs` fans the table
@@ -235,10 +234,9 @@ int main(int argc, char** argv) {
   add_claim(rows, "HASH vs |f| on an 8-bit, 10-stage pipeline", cut_rows());
   add_claim(rows, "RT-level vs bit-level formal retiming", rtl_rows());
   add_claim(rows, "matcher of ref [8] vs HASH's compound step", match_rows());
-  const char* name = "bench_table1";
   if (!json_path.empty() &&
-      !eda::bench::write_json(json_path, name, timeout, max_n, jobs, rows)) {
-    std::fprintf(stderr, "%s: cannot write %s\n", name, json_path.c_str());
+      !eda::bench::write_json(json_path, "bench_table1", timeout, max_n, jobs,
+                              rows)) {
     return 1;
   }
   return eda::bench::report_nonequiv(rows) == 0 ? 0 : 1;

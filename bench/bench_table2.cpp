@@ -15,7 +15,6 @@
 // engine reports NONEQUIV: every row pairs a circuit with a correct
 // retiming of it.
 
-#include <chrono>
 #include <cstdio>
 #include <random>
 #include <string>
@@ -35,7 +34,9 @@
 namespace {
 
 namespace h = eda::hash;
+using eda::bench::Clock;
 using eda::bench::Row;
+using eda::bench::seconds_since;
 
 eda::retime::RetimeGraph random_graph(int n, std::uint32_t seed) {
   std::mt19937 rng(seed);
@@ -79,9 +80,9 @@ std::vector<Row> min_area_rows() {
       } catch (const eda::circuit::RtlError&) {
         continue;
       }
-      auto t0 = std::chrono::steady_clock::now();
+      const Clock::time_point t0 = Clock::now();
       MinAreaResult ma = min_area_retiming(g, mp.period);
-      sec += eda::bench::seconds_since(t0);
+      sec += seconds_since(t0);
       regs_mp += total_registers(apply_retiming(g, mp.r));
       regs_ma += ma.register_count;
       period0 += clock_period(g);
@@ -112,22 +113,19 @@ int main(int argc, char** argv) {
   // bench_table1.cpp).
   unsigned jobs = 1;
   std::string json_path;
-  for (int a = 1; a < argc; ++a) {
-    std::string arg = argv[a];
-    if (arg == "--timeout" && a + 1 < argc) timeout = std::stod(argv[++a]);
-    if (arg == "--json" && a + 1 < argc) json_path = argv[++a];
-    if (arg == "--jobs" && a + 1 < argc) {
-      jobs = static_cast<unsigned>(std::stoi(argv[++a]));
-    }
-  }
+  eda::bench::Args("bench_table2")
+      .number("--timeout", "SEC", timeout, 0.001, 86400.0)
+      .text("--json", "FILE", json_path)
+      .number("--jobs", "N", jobs, 1u, 1024u)
+      .parse(argc, argv);
   // Caller participates in parallel_map: jobs-1 workers + caller = jobs
   // concurrent streams (same accounting as bench_parallel).
   if (jobs > 1) eda::kernel::set_global_thread_count(jobs - 1);
 
-  auto t0 = std::chrono::steady_clock::now();
+  const Clock::time_point t0 = Clock::now();
   eda::thy::retiming_thm();
   std::printf("universal retiming theorem proved once in %.3f s\n",
-              eda::bench::seconds_since(t0));
+              seconds_since(t0));
 
   // Rows are independent obligations and, within a row, the three model
   // checkers are independent of each other once the HASH step produced the
@@ -172,10 +170,9 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
   add_claim(rows, "IWLS'91-style benchmarks (Table II)", table);
   add_claim(rows, "min-period vs min-area retiming, ref [11]", min_area_rows());
-  const char* name = "bench_table2";
   if (!json_path.empty() &&
-      !eda::bench::write_json(json_path, name, timeout, -1, jobs, rows)) {
-    std::fprintf(stderr, "%s: cannot write %s\n", name, json_path.c_str());
+      !eda::bench::write_json(json_path, "bench_table2", timeout, -1, jobs,
+                              rows)) {
     return 1;
   }
   return eda::bench::report_nonequiv(rows) == 0 ? 0 : 1;

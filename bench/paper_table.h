@@ -1,16 +1,16 @@
-// The one row shape, timing helper, text and JSON writers and verdict
-// check shared by bench_table1 and bench_table2: the paper's Tables I and
-// II and its other claims, each a list of rows.
+// The one row shape, text and JSON writers and verdict check shared by
+// bench_table1 and bench_table2: the paper's Tables I and II and its other
+// claims, each a list of rows.
 
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "harness.h"
 #include "kernel/thm.h"
 #include "verify/common.h"
 
@@ -30,18 +30,13 @@ struct Row {
   std::vector<std::pair<std::string, verify::VerifyResult>> engines;
 };
 
-inline double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
 /// Runs `step` and records its wall seconds under `column` and its kernel
 /// inferences (a `Thm::theorems_constructed()` delta, exact only when no
 /// other thread proves anything meanwhile) under `column + "_inferences"`.
 template <class Step>
 auto measure(Row& row, const std::string& column, Step&& step) {
   const std::uint64_t c0 = kernel::Thm::theorems_constructed();
-  const auto t0 = std::chrono::steady_clock::now();
+  const Clock::time_point t0 = Clock::now();
   auto result = step();
   const std::uint64_t inferences = kernel::Thm::theorems_constructed() - c0;
   row.seconds.push_back({column, seconds_since(t0)});
@@ -107,45 +102,30 @@ inline const char* compiler_family() {
 inline bool write_json(const std::string& path, const char* benchmark,
                        double timeout_sec, int max_n, unsigned jobs,
                        const std::vector<Row>& rows) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fprintf(f, "{\n  \"benchmark\": \"%s\",\n", benchmark);
-  std::fprintf(f, "  \"compiler\": \"%s\",\n", compiler_family());
-  std::fprintf(f, "  \"jobs\": %u,\n", jobs);
-  std::fprintf(f, "  \"timeout_sec\": %.3f,\n", timeout_sec);
-  if (max_n >= 0) std::fprintf(f, "  \"max_n\": %d,\n", max_n);
-  std::fprintf(f, "  \"rows\": [");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    const char* comma = i == 0 ? "" : ",";
-    std::fprintf(f, "%s\n    {\"claim\": \"%s\", ", comma, r.claim.c_str());
-    std::fprintf(f, "\"name\": \"%s\", \"seconds\": {", r.name.c_str());
-    comma = "";
-    for (const auto& [name, sec] : r.seconds) {
-      std::fprintf(f, "%s\"%s\": %.6f", comma, name.c_str(), sec);
-      comma = ", ";
+  Json json(benchmark);
+  json.field("compiler", compiler_family())
+      .field("jobs", jobs)
+      .field("timeout_sec", timeout_sec);
+  if (max_n >= 0) json.field("max_n", max_n);
+  json.array("rows");
+  for (const Row& r : rows) {
+    json.object().field("claim", r.claim).field("name", r.name);
+    json.object("seconds");
+    for (const auto& [name, sec] : r.seconds) json.field(name, sec);
+    json.end().object("counts");
+    for (const auto& [name, count] : r.counts) json.field(name, count);
+    json.end().object("engines");
+    for (const auto& [name, v] : r.engines) {
+      json.object(name)
+          .field("seconds", v.seconds)
+          .field("completed", v.completed)
+          .field("equivalent", v.equivalent)
+          .field("failure", verify::failure_kind_name(v.failure))
+          .end();
     }
-    std::fprintf(f, "},\n     \"counts\": {");
-    comma = "";
-    for (const auto& [name, count] : r.counts) {
-      std::fprintf(f, "%s\"%s\": %llu", comma, name.c_str(), count);
-      comma = ", ";
-    }
-    std::fprintf(f, "},\n     \"engines\": {");
-    for (std::size_t k = 0; k < r.engines.size(); ++k) {
-      const verify::VerifyResult& v = r.engines[k].second;
-      std::fprintf(f,
-                   "%s\n      \"%s\": {\"seconds\": %.6f, \"completed\": %s, "
-                   "\"equivalent\": %s, \"failure\": \"%s\"}",
-                   k == 0 ? "" : ",", r.engines[k].first.c_str(), v.seconds,
-                   v.completed ? "true" : "false",
-                   v.equivalent ? "true" : "false",
-                   verify::failure_kind_name(v.failure));
-    }
-    std::fprintf(f, "}}");
+    json.end().end();
   }
-  std::fprintf(f, "\n  ]\n}\n");
-  return std::fclose(f) == 0;
+  return json.write(path);
 }
 
 /// Every table row pairs a circuit with a correct retiming of it, so a

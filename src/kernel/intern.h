@@ -280,8 +280,7 @@ struct InternStats {
   /// Node storage, with the Var/Const name objects kept beside their
   /// nodes (not those names' heap buffers).
   std::size_t arena_bytes = 0;
-  /// Terms only: bytes of the published free-variable views, and of the
-  /// std::set each view keeps once `free_vars` has asked it for one.
+  /// Terms only: bytes of the published free-variable views.
   std::size_t free_var_bytes = 0;
 };
 

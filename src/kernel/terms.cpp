@@ -363,12 +363,6 @@ std::size_t view_bytes(std::size_t n) {
   return sizeof(FreeVars) + n * sizeof(Term);
 }
 
-/// A std::set<Term> of `n` items: the set object, then one red-black node
-/// per item (three links and a colour word before the item).
-std::size_t set_bytes(std::size_t n) {
-  return sizeof(std::set<Term>) + n * (4 * sizeof(void*) + sizeof(Term));
-}
-
 }  // namespace
 
 FreeVars* FreeVars::make(std::size_t n) {
@@ -383,19 +377,6 @@ const FreeVars& FreeVars::none() {
 bool FreeVars::contains(const Term& v) const {
   const Term* it = std::lower_bound(begin(), end(), v, term_less);
   return it != end() && Term::compare(*it, v) == 0;
-}
-
-const std::set<Term>& FreeVars::as_set() const {
-  const std::set<Term>* s = as_set_.load(std::memory_order_acquire);
-  if (s != nullptr) return *s;
-  auto* built = new std::set<Term>(begin(), end());
-  if (!as_set_.compare_exchange_strong(s, built, std::memory_order_release,
-                                       std::memory_order_acquire)) {
-    delete built;
-    return *s;
-  }
-  g_free_var_bytes.fetch_add(set_bytes(size_), std::memory_order_relaxed);
-  return *built;
 }
 
 const FreeVars& free_vars_set(const Term& t) {
@@ -466,8 +447,6 @@ void collect_free_vars(const Term& t, std::set<Term>& out) {
   const FreeVars& fv = free_vars_set(t);
   out.insert(fv.begin(), fv.end());
 }
-
-std::set<Term> free_vars(const Term& t) { return free_vars_set(t).as_set(); }
 
 bool is_free_in(const Term& v, const Term& t) {
   return free_vars_set(t).contains(v);

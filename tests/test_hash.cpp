@@ -129,14 +129,17 @@ std::optional<Wide> recompute(const Term& t) {
 }  // namespace
 
 TEST(GroundEval, WideMultiplierAdmitsOnlyTrueEquations) {
-  // A 62-bit circuit whose registers start at 2^61 and 8, with the cut
+  // A 62-bit circuit whose registers start at 2^61 + k and 8, with the cut
   // moving their product into f: evaluating f(q) multiplies past 64 bits
-  // (2^64) before MOD 2^62 brings the value back to 0.  Every equation the
-  // oracle admits on the way must hold when recomputed in 128 bits; a
-  // wrapping evaluator admitted |- 2^61 * 8 = 0.
+  // (2^64 + 8k) before MOD 2^62 brings the value back to 8k.  Every
+  // equation the oracle admits on the way must hold when recomputed in 128
+  // bits; a wrapping evaluator admitted |- 2^61 * 8 = 0.  `ground_eval`
+  // memoises for the process, so k counts this test's runs: each run's
+  // products are new to the memo, and the oracle admits them again.
+  static std::uint64_t run = 0;
   c::Rtl rtl;
   const c::SignalId in = rtl.add_input("i", 62);
-  const c::SignalId a = rtl.add_reg("a", 62, std::uint64_t{1} << 61);
+  const c::SignalId a = rtl.add_reg("a", 62, (std::uint64_t{1} << 61) + run++);
   const c::SignalId b = rtl.add_reg("b", 62, 8);
   const c::SignalId product = rtl.add_op(c::Op::Mul, {a, b});
   rtl.set_reg_next(a, in);

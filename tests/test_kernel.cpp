@@ -136,7 +136,7 @@ TEST(Terms, ComparisonLinearInDagSize) {
 TEST(Terms, FreeVars) {
   Term x = bv("x"), y = bv("y");
   Term t = Term::abs(x, k::mk_eq(x, y));
-  auto fv = k::free_vars(t);
+  const k::FreeVars& fv = k::free_vars_set(t);
   EXPECT_EQ(fv.size(), 1u);
   EXPECT_TRUE(fv.count(y) > 0);
   EXPECT_FALSE(k::is_free_in(x, t));
@@ -308,7 +308,9 @@ void expect_view_matches_walk(const Term& t) {
     EXPECT_LT(Term::compare(got.begin()[i - 1], got.begin()[i]), 0);
   }
   for (const Term& v : want) EXPECT_TRUE(k::is_free_in(v, t));
-  EXPECT_EQ(k::free_vars(t), want);
+  std::set<Term> collected;
+  k::collect_free_vars(t, collected);
+  EXPECT_EQ(collected, want);
 }
 
 }  // namespace
@@ -381,20 +383,6 @@ TEST(SlimStore, ConcurrentFirstCallsPublishOneViewPerNode) {
     EXPECT_EQ(seen[0][i], &k::free_vars_set(nodes[i]));
     expect_view_matches_walk(nodes[i]);
   }
-}
-
-TEST(SlimStore, KeptFreeVarSetsCountInTheStore) {
-  // free_vars keeps a std::set beside the view it reads; the store's byte
-  // count must see it, once per view.
-  Term t = k::mk_eq(k::mk_eq(bv("fv_kept_a"), bv("fv_kept_b")),
-                    bv("fv_kept_c"));
-  ASSERT_EQ(k::free_vars_set(t).size(), 3u);
-  const std::size_t before = Term::intern_stats().free_var_bytes;
-  EXPECT_EQ(k::free_vars(t).size(), 3u);
-  const std::size_t after = Term::intern_stats().free_var_bytes;
-  EXPECT_GE(after - before, sizeof(std::set<Term>) + 3 * sizeof(Term));
-  EXPECT_EQ(k::free_vars(t).size(), 3u);
-  EXPECT_EQ(Term::intern_stats().free_var_bytes, after);
 }
 
 TEST(SlimStore, LongNamesRoundTrip) {

@@ -6,8 +6,8 @@ Usage:
 
 Policy (ROADMAP): on runners with >= 8 cores the 8-thread speedup must be
 >= 3x; with >= 4 cores the 4-thread speedup must be >= 2x; below 4 cores
-the curve is meaningless (the container the baseline was recorded in
-exposes one hardware thread) and the check passes with a notice.
+the curve is meaningless and the check passes with a notice.  The
+curve's speedups are ratios within one run, so no baseline is read.
 """
 
 import argparse
